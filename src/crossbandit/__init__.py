@@ -29,7 +29,6 @@ from .harness import (
     RunResult,
     ScalingFit,
     Trace,
-    best_policy,
     fit_scaling,
     run,
     run_sweep,

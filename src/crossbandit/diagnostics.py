@@ -78,10 +78,6 @@ class EpochDiag:
     graph_inv_rhs: float
 
 
-def _unpack_bits(bits: np.uint64, K: int) -> np.ndarray:
-    return ((int(bits) >> np.arange(K)) & 1).astype(bool)
-
-
 def _ratio_extremes(p_tilde: np.ndarray, snapshot: np.ndarray) -> tuple[float, float]:
     """Entrywise p_tilde / snapshot extremes; 0/0 counts as ratio 1."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -92,7 +88,7 @@ def _ratio_extremes(p_tilde: np.ndarray, snapshot: np.ndarray) -> tuple[float, f
 
 def epoch_diagnostics(trace: Trace, config: RunConfig, graph: FeedbackGraph) -> list[EpochDiag]:
     """Evaluate the per-epoch checks on a diagnostics-enabled trace."""
-    if trace.loss_round is None or trace.used_bits is None:
+    if trace.used_mask is None:
         raise ValueError("trace was not recorded with diagnostics enabled")
     params = resolve_schedule(config, graph.alpha)
     L, gamma, eta, iota = params.epoch_len, params.gamma, params.eta, params.iota
@@ -101,6 +97,7 @@ def epoch_diagnostics(trace: Trace, config: RunConfig, graph: FeedbackGraph) -> 
     oracle_seed, _ = _replicate_seeds(config.seed, trace.replicate)
     oracle = build_loss_oracle(config.oracle, trace.horizon, trace.num_contexts,
                                K, oracle_seed)
+    any_used = trace.used_mask.any(axis=1)
 
     reports: list[EpochDiag] = []
     all_ok = True
@@ -123,10 +120,9 @@ def epoch_diagnostics(trace: Trace, config: RunConfig, graph: FeedbackGraph) -> 
             if (t - er.start_t) % 2 == 0:
                 lo, hi = _ratio_extremes(tilt(er.s_next, tilde_sums, eta), er.s_cur)
                 ratio_min, ratio_max = min(ratio_min, lo), max(ratio_max, hi)
-            if trace.loss_round[t]:
-                used = _unpack_bits(trace.used_bits[t], K)
-                if used.any():
-                    tilde_sums[:, used] += oracle.loss_slice(t)[:, used] * scale[used]
+            if any_used[t]:
+                used = trace.used_mask[t]
+                tilde_sums[:, used] += oracle.loss_slice(t)[:, used] * scale[used]
         lo, hi = _ratio_extremes(tilt(er.s_next, tilde_sums, eta), er.s_cur)
         ratio_min, ratio_max = min(ratio_min, lo), max(ratio_max, hi)
 

@@ -159,7 +159,7 @@ class StochasticGapOracle(_ChunkedOracle):
     def _make_chunk(self, j: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([0x10A4, self.seed, j]))
         u = rng.random((self._chunk_len, self.num_contexts, self.num_arms))
-        return (u < self.means).astype(np.float64)
+        return np.less(u, self.means, out=u)  # 0/1 losses written over the uniforms
 
 
 def gap_means(num_contexts: int, num_arms: int, base: float = 0.4, gap: float = 0.2,

@@ -1,10 +1,10 @@
 """Experiment orchestration: configs, runs, traces, regret, sweeps.
 
 The harness owns everything the learners must not see: the context
-distribution used for exact diagnostics, the full loss tensor used for
-hindsight comparators, and all seeding. Every run is a deterministic function
-of (config, seed): replicate streams are split off the master seed, so
-results do not depend on scheduling.
+distribution used for exact diagnostics, the loss rows of the drawn contexts
+that fix the hindsight comparator, and all seeding. Every run is a
+deterministic function of (config, seed): replicate streams are split off the
+master seed, so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ ALGOS = ("known", "unknown", "per_context_exp3g", "pooled_exp3g", "uniform")
 ORACLE_KINDS = ("stochastic_gap", "adversarial_shift", "auction", "table")
 
 WORKERS_ENV_VAR = "CROSSBANDIT_WORKERS"
+# Rounds formatted per NDJSON write: large enough to amortise the write,
+# small enough that a full trace's text never sits in memory at once.
+_NDJSON_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,10 @@ def validate_config(config: RunConfig) -> FeedbackGraph:
     graph = build_graph(config.graph, rng_seed=config.seed)
     if not graph.has_all_self_loops() or not graph.strongly_observable:
         raise ConfigError("graph must be strongly observable with a self-loop at every arm")
+    if graph.num_arms < 2:
+        raise ConfigError(f"need at least two arms, got {graph.num_arms}")
+    if config.param_mode == "manual" and config.eta is not None and not config.eta > 0:
+        raise ConfigError(f"manual eta must be positive, got {config.eta!r}")
     config.context_distribution()
     if config.algo == "unknown" and config.horizon > 0:
         resolve_schedule(config, graph.alpha)
@@ -189,7 +196,7 @@ def validate_config(config: RunConfig) -> FeedbackGraph:
 def make_learner(config: RunConfig, graph: FeedbackGraph, nu: np.ndarray):
     K, M, T = graph.num_arms, config.num_contexts, config.horizon
     if config.algo == "known":
-        eta = config.eta if (config.param_mode == "manual" and config.eta) else \
+        eta = config.eta if (config.param_mode == "manual" and config.eta is not None) else \
             default_learning_rate(K, max(T, 1), graph.alpha, scale=config.eta_scale)
         return KnownDistLearner(graph, nu, eta)
     if config.algo == "unknown":
@@ -198,7 +205,8 @@ def make_learner(config: RunConfig, graph: FeedbackGraph, nu: np.ndarray):
         per_context = config.algo == "per_context_exp3g"
         states = M if per_context else 1
         eta_default, gix_default = baseline_rates(K, max(T, 1), graph.alpha, num_states=states)
-        eta = config.eta if (config.param_mode == "manual" and config.eta) else eta_default
+        eta = config.eta if (config.param_mode == "manual" and config.eta is not None) \
+            else eta_default
         gix = config.gamma_ix if config.gamma_ix is not None else gix_default
         return GraphExp3Baseline(graph, M, eta=eta, gamma_ix=gix, per_context=per_context)
     if config.algo == "uniform":
@@ -226,7 +234,14 @@ def _digest(arr: np.ndarray) -> str:
 
 @dataclass
 class Trace:
-    """Per-round record of one replicate; deterministic given (config, seed)."""
+    """Per-round record of one replicate; deterministic given (config, seed).
+
+    ``best_inst[t]`` is the loss that the hindsight best policy (the
+    per-context argmin of ``loss_sums``) would have taken in round t, so the
+    regret curves need no second pass over the oracle. With diagnostics on,
+    ``used_mask[t]`` marks the arms whose feedback the epoch learner used
+    when round t was its pair's loss round; other rounds' rows are all False.
+    """
 
     algo: str
     seed: int
@@ -239,15 +254,32 @@ class Trace:
     realized_inst: np.ndarray
     expected_inst: np.ndarray
     loss_sums: np.ndarray
+    best_inst: np.ndarray
     q_rows: np.ndarray | None = None
     policy_hashes: list[str] | None = None
-    loss_round: np.ndarray | None = None
-    used_bits: np.ndarray | None = None
+    used_mask: np.ndarray | None = None
     epochs: list[EpochRecord] = field(default_factory=list)
 
     @property
     def horizon(self) -> int:
         return len(self.contexts)
+
+    def _round_lines(self, lo: int, hi: int) -> str:
+        """Records of rounds lo..hi-1 exactly as ``json.dumps(rec,
+        sort_keys=True)`` writes them (keys a, c, kind, policy, q, qp, t;
+        floats by repr)."""
+        fmt = '{"a": %d, "c": %d, "kind": "round", '
+        cols = [self.arms[lo:hi].tolist(), self.contexts[lo:hi].tolist()]
+        if self.policy_hashes is not None:
+            fmt += '"policy": "%s", '
+            cols.append(self.policy_hashes[lo:hi])
+        if self.q_rows is not None:
+            fmt += '"q": [%s], '
+            cols.append([", ".join(map(repr, q)) for q in self.q_rows[lo:hi].tolist()])
+        fmt += '"qp": %s, "t": %d}\n'
+        cols.append(["true" if b else "false" for b in self.p_branch[lo:hi].tolist()])
+        cols.append(range(lo, hi))
+        return "".join([fmt % rec for rec in zip(*cols)])
 
     def write_ndjson(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -257,16 +289,8 @@ class Trace:
                 "M": self.num_contexts, "K": self.num_arms,
             }
             fh.write(json.dumps(meta, sort_keys=True) + "\n")
-            for t in range(self.horizon):
-                rec = {
-                    "kind": "round", "t": t, "c": int(self.contexts[t]),
-                    "a": int(self.arms[t]), "qp": bool(self.p_branch[t]),
-                }
-                if self.q_rows is not None:
-                    rec["q"] = [float(x) for x in self.q_rows[t]]
-                if self.policy_hashes is not None:
-                    rec["policy"] = self.policy_hashes[t]
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            for lo in range(0, self.horizon, _NDJSON_BLOCK):
+                fh.write(self._round_lines(lo, lo + _NDJSON_BLOCK))
             for er in self.epochs:
                 rec = {
                     "kind": "epoch", "e": er.epoch, "start_t": er.start_t,
@@ -292,17 +316,6 @@ def best_policy_from_sums(loss_sums: np.ndarray) -> np.ndarray:
     """Per-context argmin of summed losses; ties to the lowest arm index;
     contexts never drawn (all-zero rows) get arm 0."""
     return np.argmin(loss_sums, axis=1)
-
-
-def best_policy(oracle: LossOracle, contexts: np.ndarray, T: int | None = None) -> np.ndarray:
-    """Best fixed context-to-arm map in hindsight for a realized context run."""
-    contexts = np.asarray(contexts, dtype=np.int64)
-    if T is not None:
-        contexts = contexts[:T]
-    sums = np.zeros((oracle.num_contexts, oracle.num_arms))
-    for t, c in enumerate(contexts):
-        sums[c] += oracle.loss_slice(t)[c]
-    return best_policy_from_sums(sums)
 
 
 def summarize_regret(trace: Trace) -> RegretSummary:
@@ -362,7 +375,13 @@ def _replicate_seeds(master_seed: int, replicate: int) -> tuple[int, np.random.G
 
 
 def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Trace:
-    """Execute one replicate's full interaction loop."""
+    """Execute one replicate's full interaction loop.
+
+    Each round's loss row for the drawn context is read from the oracle once
+    and kept in a transient (T, K) buffer; after the last round the buffer
+    yields the realized losses, the per-context loss sums and the hindsight
+    comparator's per-round losses, and is then dropped.
+    """
     nu = config.context_distribution()
     T, M, K = config.horizon, config.num_contexts, graph.num_arms
     full = config.trace_level == "full"
@@ -376,10 +395,10 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
         realized_inst=np.zeros(T),
         expected_inst=np.zeros(T),
         loss_sums=np.zeros((M, K)),
+        best_inst=np.zeros(T),
         q_rows=np.zeros((T, K)) if full else None,
         policy_hashes=[] if full else None,
-        loss_round=np.zeros(T, dtype=bool) if diag else None,
-        used_bits=np.zeros(T, dtype=np.uint64) if diag else None,
+        used_mask=np.zeros((T, K), dtype=bool) if diag else None,
     )
     if T == 0:
         return trace
@@ -389,7 +408,7 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
     learner = make_learner(config, graph, nu)
     is_epochal = isinstance(learner, EpochLearner)
     last_pair_seen = None
-    arm_bits = (np.uint64(1) << np.arange(K, dtype=np.uint64)) if diag else None
+    rows = np.empty((T, K))
 
     for t in range(T):
         if is_epochal and learner.pos == 0:
@@ -404,12 +423,11 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
         a = learner.act(t, c, rng)
         q = learner.last_play
         row = oracle.loss_slice(t)[c]
+        rows[t] = row
         trace.contexts[t] = c
         trace.arms[t] = a
         trace.p_branch[t] = learner.last_branch_p
-        trace.realized_inst[t] = row[a]
         trace.expected_inst[t] = q @ row
-        trace.loss_sums[c] += row
         if full:
             trace.q_rows[t] = q
             trace.policy_hashes.append(_digest(learner.distributions()))
@@ -419,9 +437,12 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
                 and learner.last_pair is not last_pair_seen:
             pr = learner.last_pair
             last_pair_seen = pr
-            t_loss = pr.t_first + pr.loss_offset
-            trace.loss_round[t_loss] = True
-            trace.used_bits[t_loss] = arm_bits[pr.used].sum()
+            trace.used_mask[pr.t_first + pr.loss_offset] = pr.used
+    rounds = np.arange(T)
+    trace.realized_inst = rows[rounds, trace.arms]
+    np.add.at(trace.loss_sums, trace.contexts, rows)  # in round order, like += per round
+    pi_star = best_policy_from_sums(trace.loss_sums)
+    trace.best_inst = rows[rounds, pi_star[trace.contexts]]
     return trace
 
 
@@ -532,17 +553,11 @@ def run_sweep(config: RunConfig, axis: str, values) -> SweepResult:
     return SweepResult(axis=axis, rows=rows, fit=fit, ratios=ratios)
 
 
-def regret_curves(trace: Trace, oracle: LossOracle) -> tuple[np.ndarray, np.ndarray]:
+def regret_curves(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative expected-form and realized regret curves against the
-    hindsight best policy (second oracle pass; oracles are replayable)."""
-    pi_star = best_policy_from_sums(trace.loss_sums)
-    T = trace.horizon
-    best_inst = np.zeros(T)
-    for t in range(T):
-        c = int(trace.contexts[t])
-        best_inst[t] = oracle.loss_slice(t)[c, pi_star[c]]
-    return (np.cumsum(trace.expected_inst - best_inst),
-            np.cumsum(trace.realized_inst - best_inst))
+    hindsight best policy, from the comparator losses recorded in the run."""
+    return (np.cumsum(trace.expected_inst - trace.best_inst),
+            np.cumsum(trace.realized_inst - trace.best_inst))
 
 
 def write_report_json(result: RunResult, path: str | Path) -> None:
@@ -571,16 +586,14 @@ def write_report_json(result: RunResult, path: str | Path) -> None:
 
 def write_curves_csv(result: RunResult, path: str | Path) -> None:
     """Long format: algo, replicate, t, cum_regret_expected, cum_regret_realized."""
+    parts = ["algo,replicate,t,cum_regret_expected,cum_regret_realized\n"]
+    for trace in result.traces:
+        exp_curve, real_curve = regret_curves(trace)
+        prefix = f"{result.config.algo},{trace.replicate},"
+        parts += [f"{prefix}{t},{e!r},{r!r}\n" for t, (e, r)
+                  in enumerate(zip(exp_curve.tolist(), real_curve.tolist()))]
     with open(path, "w") as fh:
-        fh.write("algo,replicate,t,cum_regret_expected,cum_regret_realized\n")
-        for trace in result.traces:
-            oracle_seed, _ = _replicate_seeds(result.config.seed, trace.replicate)
-            oracle = build_loss_oracle(result.config.oracle, trace.horizon,
-                                       trace.num_contexts, trace.num_arms, oracle_seed)
-            exp_curve, real_curve = regret_curves(trace, oracle)
-            for t in range(trace.horizon):
-                fh.write(f"{result.config.algo},{trace.replicate},{t},"
-                         f"{float(exp_curve[t])!r},{float(real_curve[t])!r}\n")
+        fh.write("".join(parts))
 
 
 def write_sweep_csv(sweep: SweepResult, path: str | Path) -> None:

@@ -92,6 +92,24 @@ class TestEpochDiagnostics:
                 assert r.beta_min >= 0.5 - 1e-9
                 assert r.beta_max <= 2.0 + 1e-9
 
+    @pytest.mark.parametrize("cliques", [(8,) * 8, (7,) * 10])
+    def test_sixty_four_or_more_arms(self, cliques):
+        K = sum(cliques)
+        res = run(diag_config(graph=GraphSpec(kind="disjoint_cliques", clique_sizes=cliques),
+                              horizon=4096, epoch_len=256))
+        tr = res.traces[0]
+        assert tr.used_mask.shape == (4096, K)
+        assert tr.used_mask[:, 63:].any()  # feedback of the 64th arm or later was used
+        out_mask = res.graph.out_mask
+        assert not (tr.used_mask & ~out_mask[tr.arms]).any()
+        for er in tr.epochs:
+            assert ("F" in er.diag) == (er.epoch >= 2)
+            if er.epoch >= 2:
+                assert set(er.diag) >= {"F", "L", "Q", "beta_min", "beta_max",
+                                        "tilde_max", "ptilde_min", "ptilde_max",
+                                        "snapshot_rounds", "graph_inv_lhs",
+                                        "graph_inv_rhs"}
+
     def test_requires_diagnostics_trace(self):
         res = run(diag_config(diagnostics=False))
         with pytest.raises(ValueError, match="diagnostics"):

@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from crossbandit.environment import TableOracle
 from crossbandit.graph import GraphSpec
 from crossbandit.harness import (
+    ALGOS,
     ConfigError,
     OracleSpec,
     RunConfig,
-    best_policy,
+    _replicate_seeds,
     best_policy_from_sums,
+    build_loss_oracle,
     config_for_axis,
     fit_scaling,
+    make_learner,
     regret_curves,
     resolve_schedule,
     run,
@@ -54,12 +56,11 @@ class TestBestPolicy:
     def test_matches_exhaustive_argmin_on_table(self):
         rng = np.random.default_rng(0)
         tensor = rng.random((5, 3, 4))
-        oracle = TableOracle(tensor)
         contexts = rng.integers(0, 3, size=5)
-        pi = best_policy(oracle, contexts)
         sums = np.zeros((3, 4))
         for t, c in enumerate(contexts):
             sums[c] += tensor[t, c]
+        pi = best_policy_from_sums(sums)
         for c in range(3):
             best = min(range(4), key=lambda a: (sums[c, a], a))
             assert pi[c] == best
@@ -163,6 +164,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_config(small_config(nu=(0.5, 0.5)))
 
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_rejects_a_single_arm(self, algo):
+        cfg = small_config(algo=algo, graph=GraphSpec(kind="self_loops_only", num_arms=1))
+        with pytest.raises(ConfigError, match="two arms"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("eta", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("algo", ["known", "unknown", "per_context_exp3g", "pooled_exp3g"])
+    def test_rejects_nonpositive_manual_eta(self, algo, eta):
+        cfg = small_config(algo=algo, param_mode="manual", eta=eta,
+                           epoch_len=32, gamma=0.05)
+        with pytest.raises(ConfigError, match="eta"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("algo", ["known", "per_context_exp3g", "pooled_exp3g"])
+    def test_manual_eta_is_used_verbatim(self, algo):
+        cfg = small_config(algo=algo, param_mode="manual", eta=0.0123)
+        graph = validate_config(cfg)
+        learner = make_learner(cfg, graph, cfg.context_distribution())
+        assert learner.eta == 0.0123
+
     def test_graph_must_have_self_loops(self, tmp_path):
         path = tmp_path / "adj.txt"
         path.write_text("1 2\n0 2\n0 1\n")  # loopless complete: strongly observable
@@ -228,15 +250,68 @@ class TestSweep:
             config_for_axis(cfg, "alpha", 2)
 
 
+def replay(trace, config):
+    """Reference for what a run derives from its loss rows: rebuild the
+    replicate's oracle and replay every round. Returns the loss sums, the
+    realized losses and the two regret curves."""
+    oracle_seed, _ = _replicate_seeds(config.seed, trace.replicate)
+    oracle = build_loss_oracle(config.oracle, trace.horizon, trace.num_contexts,
+                               trace.num_arms, oracle_seed)
+    loss_sums = np.zeros((trace.num_contexts, trace.num_arms))
+    realized = np.zeros(trace.horizon)
+    for t in range(trace.horizon):
+        row = oracle.loss_slice(t)[trace.contexts[t]]
+        loss_sums[trace.contexts[t]] += row
+        realized[t] = row[trace.arms[t]]
+    pi_star = best_policy_from_sums(loss_sums)
+    best_inst = np.zeros(trace.horizon)
+    for t in range(trace.horizon):
+        c = int(trace.contexts[t])
+        best_inst[t] = oracle.loss_slice(t)[c, pi_star[c]]
+    return (loss_sums, realized, np.cumsum(trace.expected_inst - best_inst),
+            np.cumsum(realized - best_inst))
+
+
+def assert_matches_replay(trace, config):
+    loss_sums, realized, exp_curve, real_curve = replay(trace, config)
+    got = (trace.loss_sums, trace.realized_inst, *regret_curves(trace))
+    for g, want in zip(got, (loss_sums, realized, exp_curve, real_curve)):
+        assert g.tobytes() == want.tobytes()
+
+
+class TestRegretCurves:
+    @pytest.mark.parametrize("oracle", [
+        GAP,
+        OracleSpec(kind="adversarial_shift"),
+        OracleSpec(kind="auction"),
+    ])
+    @pytest.mark.parametrize("algo", ["known", "unknown", "uniform"])
+    def test_match_the_oracle_replay_exactly(self, oracle, algo):
+        cfg = small_config(oracle=oracle, algo=algo, horizon=128, replicates=2,
+                           param_mode="manual" if algo == "unknown" else "auto",
+                           epoch_len=32, eta=0.01, gamma=0.05, iota=6.0)
+        for trace in run(cfg).traces:
+            assert_matches_replay(trace, cfg)
+
+    def test_match_the_replay_on_a_table_oracle(self, tmp_path):
+        path = tmp_path / "losses.npy"
+        np.save(path, np.random.default_rng(5).random((96, 4, 4)))
+        cfg = small_config(oracle=OracleSpec(kind="table", table_path=str(path)),
+                           horizon=96, replicates=1)
+        assert_matches_replay(run(cfg).traces[0], cfg)
+
+    def test_zero_horizon_gives_empty_curves(self):
+        trace = run(small_config(horizon=0, replicates=1)).traces[0]
+        assert trace.best_inst.shape == (0,)
+        assert [c.shape for c in regret_curves(trace)] == [(0,), (0,)]
+
+
 class TestOutputs:
     def test_curves_end_at_summary_regret(self, tmp_path):
         cfg = small_config(replicates=1, horizon=128)
         res = run(cfg)
         trace = res.traces[0]
-        from crossbandit.harness import _replicate_seeds, build_loss_oracle
-        oracle_seed, _ = _replicate_seeds(cfg.seed, 0)
-        oracle = build_loss_oracle(cfg.oracle, 128, 4, res.graph.num_arms, oracle_seed)
-        exp_curve, real_curve = regret_curves(trace, oracle)
+        exp_curve, real_curve = regret_curves(trace)
         s = summarize_regret(trace)
         assert exp_curve[-1] == pytest.approx(s.expected, abs=1e-9)
         assert real_curve[-1] == pytest.approx(s.realized, abs=1e-9)
@@ -251,6 +326,26 @@ class TestOutputs:
         lines = (tmp_path / "curves.csv").read_text().splitlines()
         assert lines[0] == "algo,replicate,t,cum_regret_expected,cum_regret_realized"
         assert len(lines) == 1 + 2 * 64
+
+    @pytest.mark.parametrize("trace_level", ["light", "full"])
+    def test_ndjson_rounds_match_json_dumps(self, tmp_path, trace_level):
+        cfg = small_config(algo="unknown", trace_level=trace_level, horizon=128,
+                           replicates=1, param_mode="manual", epoch_len=32,
+                           eta=0.01, gamma=0.05, iota=6.0, diagnostics=True)
+        trace = run(cfg).traces[0]
+        path = tmp_path / "trace.ndjson"
+        trace.write_ndjson(path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + 128 + len(trace.epochs)
+        for t, line in enumerate(lines[1:1 + 128]):
+            rec = json.loads(line)
+            assert rec["t"] == t and rec["kind"] == "round"
+            assert line == json.dumps(rec, sort_keys=True)
+            if trace_level == "full":
+                assert rec["q"] == trace.q_rows[t].tolist()
+                assert rec["policy"] == trace.policy_hashes[t]
+            else:
+                assert "q" not in rec and "policy" not in rec
 
     def test_sweep_csv(self, tmp_path):
         cfg = small_config(horizon=64, replicates=2)
