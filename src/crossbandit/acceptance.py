@@ -217,7 +217,8 @@ def check_concentration_events(n_epochs: int = 205, seed: int = 14) -> CheckResu
     """Concentration-event frequencies at a non-vacuous confidence level
     (iota = 6): the importance event and the boundedness event hold at least
     as often as their union bounds, and the denominator ratio stays within
-    [1/2, 2] on every importance-event epoch."""
+    [1/2, 2] on every importance-event epoch. The run computes the
+    per-epoch reports; the check only reads them."""
     from .diagnostics import epoch_diagnostics
 
     t0 = time.time()
@@ -233,7 +234,7 @@ def check_concentration_events(n_epochs: int = 205, seed: int = 14) -> CheckResu
         diagnostics=True,
     )
     result = run(config)
-    reports = epoch_diagnostics(result.traces[0], config, result.graph)
+    reports = epoch_diagnostics(result.traces[0])
     n = len(reports)
     K = result.graph.num_arms
     p_f = float(np.mean([r.importance_ok for r in reports]))
@@ -267,7 +268,7 @@ def check_rejection_inactivity(replicates: int = 20, seed: int = 15) -> CheckRes
         replicates=replicates, param_mode="auto", tuned_scale=0.02,
     )
     result = run(config)
-    L = resolve_schedule(config, result.graph.alpha).epoch_len
+    L = resolve_schedule(config, result.graph).epoch_len
     fracs = [float((~tr.p_branch[L:]).mean()) for tr in result.traces]
     mean_frac = float(np.mean(fracs))
     return _timed("05 rejection-inactivity", mean_frac <= 0.05,

@@ -19,24 +19,30 @@ and the concentration events the analysis relies on become runnable checks:
 
 The pseudo-estimate of a loss replaces the empirical denominator by the exact
 one: 2 * loss / (w_e(a) + gamma) on used feedback.
+
+The run feeds the checks as it goes. With diagnostics on, ``run_replicate``
+hands an :class:`EpochObserver` each epoch's start record and each finished
+pair's record, whose loss block holds exactly the losses the learner used, so
+no oracle is read a second time. The reports end up on ``Trace.diagnostics``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import FeedbackGraph
-from .harness import (
-    RunConfig,
-    Trace,
-    _replicate_seeds,
-    build_loss_oracle,
-    resolve_schedule,
-)
-from .simplex import tilt
+
+if TYPE_CHECKING:
+    from .harness import EpochRecord, Trace
+    from .unknown import PairRecord, ParamSchedule
+
+# Elements of one block of pseudo-estimate sums tilted together: at most
+# 512 KB of float64, however many pairs an epoch has.
+_BLOCK_BUDGET = 1 << 16
 
 
 def graph_inverse_bound(weights: np.ndarray, graph: FeedbackGraph,
@@ -79,80 +85,126 @@ class EpochDiag:
 
 
 def _ratio_extremes(p_tilde: np.ndarray, snapshot: np.ndarray) -> tuple[float, float]:
-    """Entrywise p_tilde / snapshot extremes; 0/0 counts as ratio 1."""
+    """Entrywise p_tilde / snapshot extremes; 0/0 counts as ratio 1.
+
+    ``p_tilde`` may be a stack of tables; it is overwritten.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(snapshot > 0, p_tilde / snapshot,
-                          np.where(p_tilde > 0, np.inf, 1.0))
+        ratios = np.divide(p_tilde, snapshot, out=p_tilde)
+    ratios[np.isnan(ratios)] = 1.0  # 0/0; probabilities make no other NaN
     return float(ratios.min()), float(ratios.max())
 
 
-def epoch_diagnostics(trace: Trace, config: RunConfig, graph: FeedbackGraph) -> list[EpochDiag]:
-    """Evaluate the per-epoch checks on a diagnostics-enabled trace."""
-    if trace.used_mask is None:
-        raise ValueError("trace was not recorded with diagnostics enabled")
-    params = resolve_schedule(config, graph.alpha)
-    L, gamma, eta, iota = params.epoch_len, params.gamma, params.eta, params.iota
-    nu = config.context_distribution()
-    K = graph.num_arms
-    oracle_seed, _ = _replicate_seeds(config.seed, trace.replicate)
-    oracle = build_loss_oracle(config.oracle, trace.horizon, trace.num_contexts,
-                               K, oracle_seed)
-    any_used = trace.used_mask.any(axis=1)
+class EpochObserver:
+    """Builds one replicate's per-epoch reports while the replicate runs.
 
-    reports: list[EpochDiag] = []
-    all_ok = True
-    for er in trace.epochs:
-        if er.epoch < 2 or er.s_cur is None:
-            continue
-        s_cur_in = graph.in_mass_rows(er.s_cur)
-        w_exact = (nu @ s_cur_in) / 2.0
-        dev = np.abs(er.w_hat - w_exact)
-        thresh = 2.0 * np.maximum(np.sqrt(w_exact * iota / L), iota / L)
-        importance_ok = bool((dev <= thresh).all())
+    Call ``start_epoch`` at every epoch's first round, ``add_pair`` for every
+    finished pair, and ``finish`` after the last round. Each pair that used
+    some arm adds its pseudo-estimates to the epoch's running sums and copies
+    the new sums into a block buffer; a full block is tilted in one batched
+    evaluation, which gives the same bits as one ``simplex.tilt`` per pair.
+    Pairs that used no arm leave the sums, and so the tilt, unchanged.
+    """
 
-        beta = (w_exact + gamma) / (er.w_hat + 1.5 * gamma)
+    def __init__(self, graph: FeedbackGraph, nu: np.ndarray, params: ParamSchedule,
+                 p_branch: np.ndarray):
+        self.graph = graph
+        self.nu = nu
+        self.params = params
+        self._p_branch = p_branch  # the trace's branch column, filled as rounds run
+        M, K = len(nu), graph.num_arms
+        # The sums before the first pair and after each of the L / 2 pairs.
+        states = params.epoch_len // 2 + 1
+        self._block = np.empty((max(1, min(states, _BLOCK_BUDGET // (M * K))), M, K))
+        self._filled = 0
+        self._epoch: EpochRecord | None = None
+        self._all_ok = True
+        self.reports: list[EpochDiag] = []
 
-        tilde_sums = np.zeros((trace.num_contexts, K))
-        scale = 2.0 / (w_exact + gamma)
-        ratio_min, ratio_max = math.inf, -math.inf
-        end_t = min(er.start_t + L, trace.horizon)
-        for t in range(er.start_t, end_t):
-            if (t - er.start_t) % 2 == 0:
-                lo, hi = _ratio_extremes(tilt(er.s_next, tilde_sums, eta), er.s_cur)
-                ratio_min, ratio_max = min(ratio_min, lo), max(ratio_max, hi)
-            if any_used[t]:
-                used = trace.used_mask[t]
-                tilde_sums[:, used] += oracle.loss_slice(t)[:, used] * scale[used]
-        lo, hi = _ratio_extremes(tilt(er.s_next, tilde_sums, eta), er.s_cur)
-        ratio_min, ratio_max = min(ratio_min, lo), max(ratio_max, hi)
+    def start_epoch(self, er: EpochRecord) -> None:
+        self._end_epoch()
+        if er.epoch < 2:
+            return
+        p = self.params
+        L, gamma, iota = p.epoch_len, p.gamma, p.iota
+        self._epoch = er
+        self._w_exact = (self.nu @ self.graph.in_mass_rows(er.s_cur)) / 2.0
+        thresh = 2.0 * np.maximum(np.sqrt(self._w_exact * iota / L), iota / L)
+        self._importance_ok = bool((np.abs(er.w_hat - self._w_exact) <= thresh).all())
+        self._beta = (self._w_exact + gamma) / (er.w_hat + 1.5 * gamma)
+        self._scale = 2.0 / (self._w_exact + gamma)
+        with np.errstate(divide="ignore"):
+            self._log_s_next = np.log(er.s_next)
+        self._ratio_min, self._ratio_max = math.inf, -math.inf
+        self._tilde = np.zeros_like(er.s_cur)
+        self._push()
 
-        tilde_max = float(tilde_sums.max())
-        bounded_ok = bool(tilde_max <= L + iota / gamma)
-        all_ok = all_ok and importance_ok and bounded_ok
+    def add_pair(self, pr: PairRecord) -> None:
+        if self._epoch is None or not pr.used.any():
+            return
+        self._tilde[:, pr.used] += pr.losses * self._scale[pr.used]
+        self._push()
 
-        p_bar = nu @ er.s_next
-        lhs, rhs = graph_inverse_bound(p_bar, graph,
-                                       eps=float((w_exact + gamma).min()))
-        snapshot_rounds = int((~trace.p_branch[er.start_t:end_t]).sum())
+    def finish(self) -> list[EpochDiag]:
+        self._end_epoch()
+        return self.reports
 
-        rep = EpochDiag(
-            epoch=er.epoch, w_exact=w_exact,
-            importance_ok=importance_ok, bounded_ok=bounded_ok,
-            all_ok_so_far=all_ok,
-            beta_min=float(beta.min()), beta_max=float(beta.max()),
+    def _push(self) -> None:
+        self._block[self._filled] = self._tilde
+        self._filled += 1
+        if self._filled == len(self._block):
+            self._flush()
+
+    def _flush(self) -> None:
+        """Tilt the buffered sums exactly as ``simplex.tilt`` does, with
+        log(s_next) computed once per epoch, and fold in their extremes."""
+        if not self._filled:
+            return
+        logw = self._block[:self._filled]
+        logw *= self.params.eta
+        np.subtract(self._log_s_next, logw, out=logw)
+        logw -= logw.max(axis=-1, keepdims=True)
+        np.exp(logw, out=logw)
+        logw /= logw.sum(axis=-1, keepdims=True)
+        lo, hi = _ratio_extremes(logw, self._epoch.s_cur)
+        self._ratio_min, self._ratio_max = min(self._ratio_min, lo), max(self._ratio_max, hi)
+        self._filled = 0
+
+    def _end_epoch(self) -> None:
+        er = self._epoch
+        if er is None:
+            return
+        self._flush()
+        p = self.params
+        tilde_max = float(self._tilde.max())
+        bounded_ok = bool(tilde_max <= p.epoch_len + p.iota / p.gamma)
+        self._all_ok = self._all_ok and self._importance_ok and bounded_ok
+        lhs, rhs = graph_inverse_bound(self.nu @ er.s_next, self.graph,
+                                       eps=float((self._w_exact + p.gamma).min()))
+        end_t = min(er.start_t + p.epoch_len, len(self._p_branch))
+        self.reports.append(EpochDiag(
+            epoch=er.epoch, w_exact=self._w_exact,
+            importance_ok=self._importance_ok, bounded_ok=bounded_ok,
+            all_ok_so_far=self._all_ok,
+            beta_min=float(self._beta.min()), beta_max=float(self._beta.max()),
             tilde_max=tilde_max,
-            ptilde_ratio_min=ratio_min, ptilde_ratio_max=ratio_max,
-            snapshot_rounds=snapshot_rounds,
+            ptilde_ratio_min=self._ratio_min, ptilde_ratio_max=self._ratio_max,
+            snapshot_rounds=int((~self._p_branch[er.start_t:end_t]).sum()),
             graph_inv_lhs=lhs, graph_inv_rhs=rhs,
-        )
-        reports.append(rep)
-    return reports
+        ))
+        self._epoch = None
 
 
-def attach_epoch_diagnostics(trace: Trace, config: RunConfig,
-                             graph: FeedbackGraph) -> list[EpochDiag]:
-    """Run the checks and fold the outcomes into the trace's epoch records."""
-    reports = epoch_diagnostics(trace, config, graph)
+def epoch_diagnostics(trace: Trace) -> list[EpochDiag]:
+    """The per-epoch reports the run computed for a diagnostics-enabled trace."""
+    if trace.diagnostics is None:
+        raise ValueError("trace was not recorded with diagnostics enabled")
+    return trace.diagnostics
+
+
+def attach_epoch_diagnostics(trace: Trace) -> list[EpochDiag]:
+    """Fold the run's reports into the trace's epoch records."""
+    reports = epoch_diagnostics(trace)
     by_epoch = {r.epoch: r for r in reports}
     for er in trace.epochs:
         r = by_epoch.get(er.epoch)

@@ -1,10 +1,11 @@
 """Oblivious adversaries, context sampling, and the cross-learning reveal.
 
 Every oracle is a deterministic map (t, c, a) -> loss in [0, 1], fixed before
-the run: querying never mutates state, so reveals can be replayed in any
+the run: querying never changes the losses, so reveals can be replayed in any
 order. Stochastic losses are pre-materialized in chunks from a seeded
 counter-style stream, which keeps the adversary genuinely oblivious and runs
-replayable.
+replayable. ``loss_slice`` returns read-only arrays, so the tables an oracle
+keeps between calls cannot be changed through them.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class LossOracle:
     num_arms: int
 
     def loss_slice(self, t: int) -> np.ndarray:
-        """Full (M, K) loss table of round t. Read-only; do not mutate."""
+        """Full (M, K) loss table of round t, as a read-only array."""
         raise NotImplementedError
 
     def loss(self, t: int, c: int, a: int) -> float:
@@ -72,8 +73,16 @@ def reveal(oracle: LossOracle, graph: FeedbackGraph, t: int, played_arm: int) ->
     if not 0 <= played_arm < graph.num_arms:
         raise ValueError(f"played arm {played_arm} out of range")
     arms = np.asarray(graph.out_neighbors[played_arm], dtype=np.int64)
-    losses = oracle.loss_slice(t)[:, arms].copy()
+    losses = oracle.loss_slice(t)[:, arms]  # fancy indexing copies
     return Reveal(t=t, played_arm=played_arm, arms=arms, losses=losses)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of ``arr`` that cannot be written through; ``arr`` itself keeps
+    its flags."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 class TableOracle(LossOracle):
@@ -85,7 +94,7 @@ class TableOracle(LossOracle):
             raise ValueError(f"expected a (T, M, K) tensor, got shape {tensor.shape}")
         if tensor.size and ((tensor < 0).any() or (tensor > 1).any()):
             raise ValueError("losses must lie in [0, 1]")
-        self._tensor = tensor
+        self._tensor = _read_only(tensor)
         self.num_rounds, self.num_contexts, self.num_arms = tensor.shape
 
     def loss_slice(self, t: int) -> np.ndarray:
@@ -137,7 +146,7 @@ class _ChunkedOracle(LossOracle):
         j = t // self._chunk_len
         chunk = self._cache.get(j)
         if chunk is None:
-            chunk = self._make_chunk(j)
+            chunk = _read_only(self._make_chunk(j))
             self._cache.clear()  # keep at most one chunk resident
             self._cache[j] = chunk
         return chunk[t - j * self._chunk_len]
@@ -188,13 +197,14 @@ class AdversarialShiftOracle(LossOracle):
         self.low = float(low)
         self.high = float(high)
         self._phase_len = max(1, -(-num_rounds // 4))  # ceil(T / 4)
+        tables = np.full((4, num_contexts, num_arms), self.high)
+        contexts = np.arange(num_contexts)
+        for phase in range(4):
+            tables[phase, contexts, (contexts + phase) % num_arms] = self.low
+        self._tables = _read_only(tables)
 
     def loss_slice(self, t: int) -> np.ndarray:
-        phase = min(3, t // self._phase_len)
-        out = np.full((self.num_contexts, self.num_arms), self.high)
-        for c in range(self.num_contexts):
-            out[c, (c + phase) % self.num_arms] = self.low
-        return out
+        return self._tables[min(3, t // self._phase_len)]
 
 
 class AuctionOracle(LossOracle):
@@ -226,13 +236,18 @@ class AuctionOracle(LossOracle):
         self.num_rounds = len(opposing_bids)
         self.num_contexts = len(value_grid)
         self.num_arms = len(bid_grid)
+        self._last: tuple[int, np.ndarray] | None = None  # (round, its table)
 
     def loss_slice(self, t: int) -> np.ndarray:
+        if self._last is not None and self._last[0] == t:
+            return self._last[1]
         m = self.opposing_bids[t]
         win = self.bid_grid >= m
         u = (self.value_grid[:, None] - self.bid_grid[None, :]) * win[None, :]
         np.clip(u, -1.0, 1.0, out=u)
-        return (1.0 - u) / 2.0
+        table = _read_only((1.0 - u) / 2.0)
+        self._last = (t, table)
+        return table
 
 
 def auction_losses(value_grid, bid_grid, opposing_bids) -> AuctionOracle:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import diagnostics
 from .baselines import GraphExp3Baseline, UniformBaseline, baseline_rates
 from .environment import (
     AdversarialShiftOracle,
@@ -139,11 +140,12 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def resolve_schedule(config: RunConfig, alpha: int) -> ParamSchedule:
-    """Epoch-learner parameters from the config, validated against the horizon."""
-    T = config.horizon
+def resolve_schedule(config: RunConfig, graph: FeedbackGraph) -> ParamSchedule:
+    """Epoch-learner parameters from the config and its built graph, validated
+    against the horizon."""
+    T, K = config.horizon, graph.num_arms
     if config.param_mode == "auto":
-        return schedule_params(_graph_arms(config.graph), T, alpha,
+        return schedule_params(K, T, graph.alpha,
                                tuned_scale=config.tuned_scale, fit_horizon=True)
     if config.epoch_len is None or config.eta is None or config.gamma is None:
         raise ConfigError("manual mode needs epoch_len, eta and gamma")
@@ -153,17 +155,9 @@ def resolve_schedule(config: RunConfig, alpha: int) -> ParamSchedule:
             f"horizon {T} is not a multiple (>= 2) of epoch_len {L}; "
             f"nearest compatible horizon is {nearest_compatible_horizon(T, L)}"
         )
-    iota = config.iota if config.iota is not None else 2.0 * math.log(8.0 * _graph_arms(config.graph) * T * T)
+    iota = config.iota if config.iota is not None else 2.0 * math.log(8.0 * K * T * T)
     return ParamSchedule(iota=float(iota), epoch_len=L, gamma=float(config.gamma),
                          eta=float(config.eta), tuned_scale=config.tuned_scale)
-
-
-def _graph_arms(spec: GraphSpec) -> int:
-    if spec.kind == "disjoint_cliques":
-        return int(sum(spec.clique_sizes))
-    if spec.kind == "custom":
-        return build_graph(spec).num_arms
-    return int(spec.num_arms)
 
 
 def validate_config(config: RunConfig) -> FeedbackGraph:
@@ -189,7 +183,7 @@ def validate_config(config: RunConfig) -> FeedbackGraph:
         raise ConfigError(f"manual eta must be positive, got {config.eta!r}")
     config.context_distribution()
     if config.algo == "unknown" and config.horizon > 0:
-        resolve_schedule(config, graph.alpha)
+        resolve_schedule(config, graph)
     return graph
 
 
@@ -200,7 +194,7 @@ def make_learner(config: RunConfig, graph: FeedbackGraph, nu: np.ndarray):
             default_learning_rate(K, max(T, 1), graph.alpha, scale=config.eta_scale)
         return KnownDistLearner(graph, nu, eta)
     if config.algo == "unknown":
-        return EpochLearner(graph, M, resolve_schedule(config, graph.alpha))
+        return EpochLearner(graph, M, resolve_schedule(config, graph))
     if config.algo in ("per_context_exp3g", "pooled_exp3g"):
         per_context = config.algo == "per_context_exp3g"
         states = M if per_context else 1
@@ -241,6 +235,10 @@ class Trace:
     regret curves need no second pass over the oracle. With diagnostics on,
     ``used_mask[t]`` marks the arms whose feedback the epoch learner used
     when round t was its pair's loss round; other rounds' rows are all False.
+    ``diagnostics`` then holds the epoch learner's per-epoch reports
+    (``diagnostics.EpochDiag``, epochs 2 and later), computed while the
+    replicate ran; it is empty for other learners and for T = 0, and None
+    when diagnostics are off.
     """
 
     algo: str
@@ -258,6 +256,7 @@ class Trace:
     q_rows: np.ndarray | None = None
     policy_hashes: list[str] | None = None
     used_mask: np.ndarray | None = None
+    diagnostics: list | None = None
     epochs: list[EpochRecord] = field(default_factory=list)
 
     @property
@@ -380,7 +379,9 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
     Each round's loss row for the drawn context is read from the oracle once
     and kept in a transient (T, K) buffer; after the last round the buffer
     yields the realized losses, the per-context loss sums and the hindsight
-    comparator's per-round losses, and is then dropped.
+    comparator's per-round losses, and is then dropped. With diagnostics on,
+    an epoch learner's epoch starts and finished pairs also feed a
+    ``diagnostics.EpochObserver``, whose reports go to ``trace.diagnostics``.
     """
     nu = config.context_distribution()
     T, M, K = config.horizon, config.num_contexts, graph.num_arms
@@ -399,6 +400,7 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
         q_rows=np.zeros((T, K)) if full else None,
         policy_hashes=[] if full else None,
         used_mask=np.zeros((T, K), dtype=bool) if diag else None,
+        diagnostics=[] if diag else None,
     )
     if T == 0:
         return trace
@@ -407,18 +409,23 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
     oracle = build_loss_oracle(config.oracle, T, M, K, oracle_seed)
     learner = make_learner(config, graph, nu)
     is_epochal = isinstance(learner, EpochLearner)
+    observer = (diagnostics.EpochObserver(graph, nu, learner.params, trace.p_branch)
+                if diag and is_epochal else None)
     last_pair_seen = None
     rows = np.empty((T, K))
 
     for t in range(T):
         if is_epochal and learner.pos == 0:
-            trace.epochs.append(EpochRecord(
+            er = EpochRecord(
                 epoch=learner.epoch, start_t=t, w_hat=learner.w_hat.copy(),
                 s_cur=learner.s_cur.copy() if diag else None,
                 s_next=learner.s_next.copy() if diag else None,
                 s_cur_digest=_digest(learner.s_cur),
                 s_next_digest=_digest(learner.s_next),
-            ))
+            )
+            trace.epochs.append(er)
+            if observer is not None:
+                observer.start_epoch(er)
         c = sample_context(nu, rng)
         a = learner.act(t, c, rng)
         q = learner.last_play
@@ -433,11 +440,14 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
             trace.policy_hashes.append(_digest(learner.distributions()))
         rev = reveal(oracle, graph, t, a)
         learner.update(rev, rng)
-        if diag and is_epochal and learner.last_pair is not None \
+        if observer is not None and learner.last_pair is not None \
                 and learner.last_pair is not last_pair_seen:
             pr = learner.last_pair
             last_pair_seen = pr
             trace.used_mask[pr.t_first + pr.loss_offset] = pr.used
+            observer.add_pair(pr)
+    if observer is not None:
+        trace.diagnostics = observer.finish()
     rounds = np.arange(T)
     trace.realized_inst = rows[rounds, trace.arms]
     np.add.at(trace.loss_sums, trace.contexts, rows)  # in round order, like += per round
@@ -447,17 +457,17 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
 
 
 def _replicate_job(args):
-    config, replicate = args
-    graph = build_graph(config.graph, rng_seed=config.seed)
+    config, graph, replicate = args
     trace = run_replicate(config, graph, replicate)
     return trace, summarize_regret(trace)
 
 
 def run(config: RunConfig, keep_traces: bool = True) -> RunResult:
-    """Run all replicates; deterministic merge by replicate index."""
+    """Run all replicates on the validated graph; deterministic merge by
+    replicate index."""
     graph = validate_config(config)
     workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
-    jobs = [(config, r) for r in range(config.replicates)]
+    jobs = [(config, graph, r) for r in range(config.replicates)]
     if workers > 1 and config.replicates > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_job, jobs))
@@ -466,9 +476,8 @@ def run(config: RunConfig, keep_traces: bool = True) -> RunResult:
     traces = [tr for tr, _ in results]
     summaries = [s for _, s in results]
     if config.diagnostics and config.algo == "unknown":
-        from .diagnostics import attach_epoch_diagnostics
         for tr in traces:
-            attach_epoch_diagnostics(tr, config, graph)
+            diagnostics.attach_epoch_diagnostics(tr)
     return RunResult(config=config, graph=graph, summaries=summaries,
                      traces=traces if keep_traces else [])
 

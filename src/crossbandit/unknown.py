@@ -169,11 +169,17 @@ def accept_probability(s_row: np.ndarray, q_row: np.ndarray,
 
 @dataclass
 class PairRecord:
-    """Outcome of one finished round pair (diagnostics hook)."""
+    """Outcome of one finished round pair (diagnostics hook).
+
+    ``losses`` holds the loss round's losses of the used arms for every
+    context, one column per used arm in ascending arm order (the order of
+    ``np.flatnonzero(used)``); it has no columns when no arm was used.
+    """
 
     t_first: int          # round index of the first member (0-based)
     loss_offset: int      # 0 or 1: which member fed the loss estimates
     used: np.ndarray      # per-arm flags: revealed by the loss round AND accepted
+    losses: np.ndarray    # (M, n_used) loss block of the used arms
 
 
 class EpochLearner:
@@ -291,13 +297,16 @@ class EpochLearner:
         accept = self._s_cur_in[cl] / (2.0 * q_in)
         S = rng.random(self.num_arms) < accept
         used = self.graph.out_mask[al] & S
-        self.last_pair = PairRecord(t_first=self.t - 1, loss_offset=loss_offset, used=used)
-
         if used.any():
             used_cols = used[revl.arms]
             arms_used = revl.arms[used_cols]
+            losses = revl.losses[:, used_cols]
             denom = self.w_hat[arms_used] + 1.5 * gamma
-            self.cum[:, arms_used] += 2.0 * revl.losses[:, used_cols] / denom
+            self.cum[:, arms_used] += 2.0 * losses / denom
+        else:
+            losses = revl.losses[:, :0]
+        self.last_pair = PairRecord(t_first=self.t - 1, loss_offset=loss_offset,
+                                    used=used, losses=losses)
 
     def end_epoch(self) -> None:
         """Roll snapshots and importance estimates into the next epoch."""

@@ -198,3 +198,34 @@ class TestReveal:
         rev = reveal(self.oracle, g, 3, played_arm=0)
         rev.losses[:] += 1.0
         assert np.allclose(self.oracle.loss_slice(3), before)
+
+
+def _every_oracle_kind():
+    rng = np.random.default_rng(9)
+    return [
+        TableOracle(rng.random((6, 3, 4))),
+        StochasticGapOracle(gap_means(3, 4), num_rounds=6, seed=2),
+        AdversarialShiftOracle(6, 3, 4),
+        AuctionOracle(np.linspace(0, 1, 3), np.linspace(0, 1, 4),
+                      uniform_opposing_bids(6, seed=2)),
+    ]
+
+
+@pytest.mark.parametrize("kind", range(4))
+def test_loss_slices_are_read_only_and_repeat(kind):
+    oracle = _every_oracle_kind()[kind]
+    # rounds revisited out of order, so cached tables are asked for again;
+    # a fresh oracle's first answer is the reference for each round
+    for t in (0, 1, 5, 1, 0, 5):
+        first, again = oracle.loss_slice(t), oracle.loss_slice(t)
+        assert not first.flags.writeable and not again.flags.writeable
+        assert first.tobytes() == again.tobytes()
+        assert first.tobytes() == _every_oracle_kind()[kind].loss_slice(t).tobytes()
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.5
+
+
+def test_table_oracle_leaves_the_callers_tensor_writeable():
+    tensor = np.zeros((2, 2, 2))
+    TableOracle(tensor)
+    tensor[0, 0, 0] = 0.5

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,11 @@ class TestAdjacencyFile:
         path.write_text("0 5\n1\n")
         with pytest.raises(ValueError):
             load_adjacency(path)
+
+
+def test_pickled_graph_keeps_rows_alpha_and_read_only_masks():
+    g = er(12, 0.3, seed=4)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy.out_neighbors == g.out_neighbors and copy.alpha == g.alpha
+    assert np.array_equal(copy.in_mask, g.in_mask)
+    assert not copy.out_mask.flags.writeable and not copy.in_mask.flags.writeable

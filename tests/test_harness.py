@@ -153,7 +153,7 @@ class TestValidation:
                            graph=GraphSpec(kind="disjoint_cliques",
                                            clique_sizes=(4, 4, 4, 4)),
                            num_contexts=8)
-        sched = resolve_schedule(cfg, alpha=4)
+        sched = resolve_schedule(cfg, validate_config(cfg))
         assert 4096 % sched.epoch_len == 0
 
     def test_rejects_unknown_algo(self):
