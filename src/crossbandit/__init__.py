@@ -5,10 +5,10 @@ from .environment import (
     AdversarialShiftOracle,
     AuctionOracle,
     LossOracle,
+    Play,
     Reveal,
     StochasticGapOracle,
     TableOracle,
-    auction_losses,
     gap_means,
     reveal,
     sample_context,
@@ -21,7 +21,6 @@ from .graph import (
     independence_number,
     independence_number_bruteforce,
     is_strongly_observable,
-    neighborhood_mass,
 )
 from .harness import (
     OracleSpec,

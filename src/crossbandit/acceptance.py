@@ -69,22 +69,21 @@ def check_estimator_unbiasedness(n_replays: int = 100_000, seed: int = 11) -> Ch
         learner = KnownDistLearner(graph, nu, eta=0.05, check_inverse_bound=False)
         for t in range(300):
             c = sample_context(nu, rng)
-            a = learner.act(t, c, rng)
+            a = learner.act(t, c, rng).arm
             learner.update(reveal(warm_oracle, graph, t, a))
 
         # Dense loss table for the replayed round.
         losses = 0.05 + 0.9 * rng.random((M, K))
         dense = TableOracle(losses[None, :, :])
+        s0, t_frozen = learner.state(), learner.t
         cum0 = learner.cum.copy()
-        t_frozen = learner.t
         w = learner.importance()
         cum_sum = np.zeros_like(cum0)
         obs_counts = np.zeros(K)
         for _ in range(n_replays):
-            np.copyto(learner.cum, cum0)
-            learner.t = t_frozen
+            learner.restore(s0)
             c = sample_context(nu, rng)
-            a = learner.act(t_frozen, c, rng)
+            a = learner.act(t_frozen, c, rng).arm
             rev = reveal(dense, graph, 0, a)
             learner.update(rev)
             obs_counts[rev.arms] += 1
@@ -110,7 +109,8 @@ def check_estimator_unbiasedness(n_replays: int = 100_000, seed: int = 11) -> Ch
 
 def _warm_epoch_learner(seed: int, epoch_len: int = 32, stop_epoch: int = 3,
                         stop_pos: int = 0):
-    """Drive an epoch learner on a real environment until (epoch, pos)."""
+    """Drive an epoch learner on a real environment until round ``stop_pos``
+    of epoch ``stop_epoch``."""
     graph = build_graph(GraphSpec(kind="erdos_renyi", num_arms=8, edge_prob=0.25),
                         rng_seed=3)
     nu = np.asarray(_NU4)
@@ -121,12 +121,10 @@ def _warm_epoch_learner(seed: int, epoch_len: int = 32, stop_epoch: int = 3,
     params = ParamSchedule(iota=6.0, epoch_len=epoch_len, gamma=0.05, eta=0.01)
     learner = EpochLearner(graph, M, params)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA]))
-    t = 0
-    while not (learner.epoch == stop_epoch and learner.pos == stop_pos):
+    for t in range((stop_epoch - 1) * epoch_len + stop_pos):
         c = sample_context(nu, rng)
-        a = learner.act(t, c, rng)
+        a = learner.act(t, c, rng).arm
         learner.update(reveal(oracle, graph, t, a), rng)
-        t += 1
     return graph, nu, oracle, learner, rng
 
 
@@ -142,20 +140,15 @@ def check_used_feedback_marginal(n_pairs: int = 100_000, seed: int = 12) -> Chec
     dense = TableOracle(0.05 + 0.9 * np.random.default_rng(seed).random((2, M, K)))
 
     w_exact = (nu @ graph.in_mass_rows(learner.s_cur)) / 2.0
-    cum0 = learner.cum.copy()
-    acc0 = learner.w_hat_acc.copy()
-    pos0, t_frozen = learner.pos, learner.t
+    s0, t_frozen = learner.state(), learner.t
     used_counts = np.zeros(K)
     for _ in range(n_pairs):
-        np.copyto(learner.cum, cum0)
-        np.copyto(learner.w_hat_acc, acc0)
-        learner.pos, learner.t = pos0, t_frozen
-        learner._pending.clear()
+        learner.restore(s0)
         for offset in range(2):
             c = sample_context(nu, rng)
-            a = learner.act(t_frozen + offset, c, rng)
-            learner.update(reveal(dense, graph, offset, a), rng)
-        used_counts += learner.last_pair.used
+            a = learner.act(t_frozen + offset, c, rng).arm
+            pair = learner.update(reveal(dense, graph, offset, a), rng)
+        used_counts += pair.used
 
     rate = used_counts / n_pairs
     se = np.sqrt(rate * (1.0 - rate) / n_pairs)
@@ -176,26 +169,16 @@ def check_importance_estimate_unbiased(n_epochs: int = 10_000, seed: int = 13) -
     graph, nu, oracle, learner, rng = _warm_epoch_learner(seed, epoch_len=32,
                                                           stop_epoch=3, stop_pos=0)
     L = learner.epoch_len
-    cum0 = learner.cum.copy()
-    s_cur0, s_next0 = learner.s_cur, learner.s_next
-    s_cur_in0, s_next_in0 = learner._s_cur_in, learner._s_next_in
-    w_hat0 = learner.w_hat
-    epoch0, t_frozen = learner.epoch, learner.t
+    s0, t_frozen = learner.state(), learner.t
 
-    w_next_exact = (nu @ graph.in_mass_rows(s_next0)) / 2.0
+    w_next_exact = (nu @ graph.in_mass_rows(learner.s_next)) / 2.0
     total = np.zeros(learner.num_arms)
     total_sq = np.zeros(learner.num_arms)
     for _ in range(n_epochs):
-        np.copyto(learner.cum, cum0)
-        learner.s_cur, learner.s_next = s_cur0, s_next0
-        learner._s_cur_in, learner._s_next_in = s_cur_in0, s_next_in0
-        learner.w_hat = w_hat0
-        learner.w_hat_acc = np.zeros(learner.num_arms)
-        learner.epoch, learner.pos, learner.t = epoch0, 0, t_frozen
-        learner._pending.clear()
+        learner.restore(s0)
         for i in range(L):
             c = sample_context(nu, rng)
-            a = learner.act(t_frozen + i, c, rng)
+            a = learner.act(t_frozen + i, c, rng).arm
             learner.update(reveal(oracle, graph, (t_frozen + i) % oracle.num_rounds, a), rng)
         # end_epoch fired: the fresh estimate is now the applied one
         total += learner.w_hat
@@ -481,17 +464,3 @@ def check_determinism(seed: int = 21, workdir: str | None = None) -> CheckResult
                   f"{n_files} trace-file pairs byte-compared"
                   + (f"; mismatches: {mismatched}" if mismatched else ""), t0)
 
-
-ALL_CHECKS = (
-    check_estimator_unbiasedness,
-    check_used_feedback_marginal,
-    check_importance_estimate_unbiased,
-    check_concentration_events,
-    check_rejection_inactivity,
-    check_t_scaling,
-    check_context_independence,
-    check_alpha_scaling,
-    check_graph_inverse_bound,
-    check_independence_oracle,
-    check_determinism,
-)

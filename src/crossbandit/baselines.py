@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .environment import Reveal
+from .environment import Play, Reveal
 from .graph import FeedbackGraph
 from .simplex import exp_weights, sample_arm
 
@@ -50,8 +50,6 @@ class GraphExp3Baseline:
         self.num_states = self.num_contexts if per_context else 1
         self.cum = np.zeros((self.num_states, self.num_arms))
         self.t = 0
-        self.last_play: np.ndarray | None = None
-        self.last_branch_p = True
         self._acted_context: int | None = None
         self._acted_p: np.ndarray | None = None
 
@@ -61,14 +59,13 @@ class GraphExp3Baseline:
     def distributions(self) -> np.ndarray:
         return exp_weights(self.cum, self.eta)
 
-    def act(self, t: int, context: int, rng: np.random.Generator) -> int:
+    def act(self, t: int, context: int, rng: np.random.Generator) -> Play:
         if t != self.t:
             raise ValueError(f"act called for round {t}, expected {self.t}")
         p = exp_weights(self.cum[self._state_of(context)], self.eta)
         self._acted_context = context
         self._acted_p = p
-        self.last_play = p
-        return sample_arm(p, rng)
+        return Play(sample_arm(p, rng), p, True)
 
     def update(self, rev: Reveal, rng: np.random.Generator | None = None) -> None:
         if self._acted_context is None:
@@ -93,13 +90,11 @@ class UniformBaseline:
         self.num_contexts = int(num_contexts)
         self.t = 0
         self._p = np.full(self.num_arms, 1.0 / self.num_arms)
-        self.last_play = self._p
-        self.last_branch_p = True
 
-    def act(self, t: int, context: int, rng: np.random.Generator) -> int:
+    def act(self, t: int, context: int, rng: np.random.Generator) -> Play:
         if t != self.t:
             raise ValueError(f"act called for round {t}, expected {self.t}")
-        return sample_arm(self._p, rng)
+        return Play(sample_arm(self._p, rng), self._p, True)
 
     def update(self, rev: Reveal, rng: np.random.Generator | None = None) -> None:
         self.t += 1

@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import FeedbackGraph
-from .simplex import check_simplex, sample_arm
+from .simplex import sample_arm
 
 # Rounds per materialized chunk are sized so one chunk stays around 2 MB.
 _CHUNK_BUDGET = 1 << 18
@@ -26,11 +27,6 @@ _CHUNK_BUDGET = 1 << 18
 def sample_context(nu: np.ndarray, rng: np.random.Generator) -> int:
     """One i.i.d. categorical context draw."""
     return sample_arm(nu, rng)
-
-
-def context_distribution(probs) -> np.ndarray:
-    """Validated context distribution as a float64 vector."""
-    return check_simplex(probs)
 
 
 @dataclass(frozen=True)
@@ -45,6 +41,53 @@ class Reveal:
     played_arm: int
     arms: np.ndarray  # revealed arm indices, sorted
     losses: np.ndarray  # shape (M, len(arms))
+
+
+class Play(NamedTuple):
+    """What a learner's ``act`` returns: the drawn arm, the distribution ``q``
+    it was drawn from, and ``ftrl``, False only when the epoch learner played
+    its snapshot (the rejection fallback, and every round of epoch 1).
+
+    Every learner (``KnownDistLearner``, ``EpochLearner``,
+    ``GraphExp3Baseline``, ``UniformBaseline``) follows one contract. Besides
+    it, the harness reads only ``distributions()`` for full traces and, at
+    each epoch start, the epoch learner's public ``epoch``, ``w_hat``,
+    ``s_cur`` and ``s_next``:
+
+    * ``act(t, c, rng) -> Play`` plays round t under context c. It draws
+      the arm from ``rng`` and leaves the learner's estimates unchanged.
+    * ``update(rev, rng) -> PairRecord | None`` folds round t's ``Reveal``
+      into the learner. The epoch learner returns the ``PairRecord`` of the
+      pair the round finished, with the arms whose losses fed its estimates;
+      every other call returns None.
+    * ``state()`` and ``restore(state)`` (the known-distribution and epoch
+      learners) save the whole learner and put it back, so a Monte-Carlo
+      replay can run one frozen round, pair or epoch many times. A state
+      can be restored any number of times.
+    """
+
+    arm: int
+    q: np.ndarray
+    ftrl: bool
+
+
+class Replayable:
+    """``state()``/``restore()`` for a learner. A state shares every field
+    except those named in ``_COPIED``, which the learner mutates in place;
+    every other field is only ever rebound, so sharing it is safe."""
+
+    _COPIED: tuple[str, ...] = ()
+
+    def state(self) -> dict:
+        st = dict(vars(self))
+        for name in self._COPIED:
+            st[name] = st[name].copy()
+        return st
+
+    def restore(self, state: dict) -> None:
+        vars(self).update(state)
+        for name in self._COPIED:
+            setattr(self, name, state[name].copy())
 
 
 class LossOracle:
@@ -207,7 +250,7 @@ class AdversarialShiftOracle(LossOracle):
         return self._tables[min(3, t // self._phase_len)]
 
 
-class AuctionOracle(LossOracle):
+class AuctionOracle(_ChunkedOracle):
     """Repeated sealed-bid pricing: context = private value, arm = bid.
 
     Utility of bidding b with value v against the opposing bid m is
@@ -230,30 +273,18 @@ class AuctionOracle(LossOracle):
                 raise ValueError(f"{name} must be sorted ascending")
             if (grid < 0).any() or (grid > 1).any():
                 raise ValueError(f"{name} entries must lie in [0, 1]")
+        super().__init__(len(opposing_bids), len(value_grid), len(bid_grid))
         self.value_grid = value_grid
         self.bid_grid = bid_grid
         self.opposing_bids = opposing_bids
-        self.num_rounds = len(opposing_bids)
-        self.num_contexts = len(value_grid)
-        self.num_arms = len(bid_grid)
-        self._last: tuple[int, np.ndarray] | None = None  # (round, its table)
 
-    def loss_slice(self, t: int) -> np.ndarray:
-        if self._last is not None and self._last[0] == t:
-            return self._last[1]
-        m = self.opposing_bids[t]
-        win = self.bid_grid >= m
-        u = (self.value_grid[:, None] - self.bid_grid[None, :]) * win[None, :]
+    def _make_chunk(self, j: int) -> np.ndarray:
+        m = self.opposing_bids[j * self._chunk_len:(j + 1) * self._chunk_len]
+        win = self.bid_grid >= m[:, None]  # (rounds, K)
+        u = (self.value_grid[:, None] - self.bid_grid[None, :]) * win[:, None, :]
         np.clip(u, -1.0, 1.0, out=u)
-        table = _read_only((1.0 - u) / 2.0)
-        self._last = (t, table)
-        return table
-
-
-def auction_losses(value_grid, bid_grid, opposing_bids) -> AuctionOracle:
-    """Build the auction adversary from sorted grids and a fixed opposing-bid
-    sequence."""
-    return AuctionOracle(value_grid, bid_grid, opposing_bids)
+        np.subtract(1.0, u, out=u)
+        return np.divide(u, 2.0, out=u)
 
 
 def uniform_opposing_bids(num_rounds: int, seed: int) -> np.ndarray:

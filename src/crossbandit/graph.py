@@ -117,16 +117,6 @@ def is_strongly_observable(graph: FeedbackGraph) -> bool:
     return True
 
 
-def neighborhood_mass(p: np.ndarray, arm: int, graph: FeedbackGraph) -> float:
-    """Total probability mass on the in-neighborhood of ``arm``."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (graph.num_arms,):
-        raise ValueError(f"weight vector has shape {p.shape}, expected ({graph.num_arms},)")
-    if not 0 <= arm < graph.num_arms:
-        raise ValueError(f"arm {arm} out of range [0, {graph.num_arms})")
-    return float(graph.in_mask[arm] @ p)
-
-
 def _conflict_bitmasks(graph: FeedbackGraph) -> list[int]:
     """Undirected conflict support: a and b (a != b) conflict iff a->b or b->a."""
     sym = graph.out_mask | graph.out_mask.T

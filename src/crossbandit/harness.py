@@ -379,9 +379,12 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
     Each round's loss row for the drawn context is read from the oracle once
     and kept in a transient (T, K) buffer; after the last round the buffer
     yields the realized losses, the per-context loss sums and the hindsight
-    comparator's per-round losses, and is then dropped. With diagnostics on,
-    an epoch learner's epoch starts and finished pairs also feed a
-    ``diagnostics.EpochObserver``, whose reports go to ``trace.diagnostics``.
+    comparator's per-round losses, and is then dropped. The learner is read
+    only through what ``act`` and ``update`` return (``environment.Play``)
+    and, for the epoch learner, its public state at each epoch start. With
+    diagnostics on, the epoch learner's epoch starts and finished pairs also
+    feed a ``diagnostics.EpochObserver``, whose reports go to
+    ``trace.diagnostics``.
     """
     nu = config.context_distribution()
     T, M, K = config.horizon, config.num_contexts, graph.num_arms
@@ -408,14 +411,13 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
     oracle_seed, rng = _replicate_seeds(config.seed, replicate)
     oracle = build_loss_oracle(config.oracle, T, M, K, oracle_seed)
     learner = make_learner(config, graph, nu)
-    is_epochal = isinstance(learner, EpochLearner)
+    epoch_len = learner.epoch_len if config.algo == "unknown" else 0
     observer = (diagnostics.EpochObserver(graph, nu, learner.params, trace.p_branch)
-                if diag and is_epochal else None)
-    last_pair_seen = None
+                if diag and epoch_len else None)
     rows = np.empty((T, K))
 
     for t in range(T):
-        if is_epochal and learner.pos == 0:
+        if epoch_len and t % epoch_len == 0:
             er = EpochRecord(
                 epoch=learner.epoch, start_t=t, w_hat=learner.w_hat.copy(),
                 s_cur=learner.s_cur.copy() if diag else None,
@@ -427,23 +429,19 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
             if observer is not None:
                 observer.start_epoch(er)
         c = sample_context(nu, rng)
-        a = learner.act(t, c, rng)
-        q = learner.last_play
+        a, q, ftrl = learner.act(t, c, rng)
         row = oracle.loss_slice(t)[c]
         rows[t] = row
         trace.contexts[t] = c
         trace.arms[t] = a
-        trace.p_branch[t] = learner.last_branch_p
+        trace.p_branch[t] = ftrl
         trace.expected_inst[t] = q @ row
         if full:
             trace.q_rows[t] = q
             trace.policy_hashes.append(_digest(learner.distributions()))
         rev = reveal(oracle, graph, t, a)
-        learner.update(rev, rng)
-        if observer is not None and learner.last_pair is not None \
-                and learner.last_pair is not last_pair_seen:
-            pr = learner.last_pair
-            last_pair_seen = pr
+        pr = learner.update(rev, rng)
+        if observer is not None and pr is not None:
             trace.used_mask[pr.t_first + pr.loss_offset] = pr.used
             observer.add_pair(pr)
     if observer is not None:

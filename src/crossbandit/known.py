@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .environment import Reveal
+from .environment import Play, Replayable, Reveal
 from .graph import FeedbackGraph
 from .simplex import check_simplex, exp_weights, sample_arm
 
@@ -32,7 +32,7 @@ class InvariantViolation(RuntimeError):
     """An internal run invariant failed; carries the offending round index."""
 
 
-class KnownDistLearner:
+class KnownDistLearner(Replayable):
     """Exponential-weights learner for a known context distribution.
 
     Keeps one cumulative estimated-loss row per context; the playing
@@ -42,9 +42,7 @@ class KnownDistLearner:
 
     # Bound check cadence for the inverse-importance diagnostic.
     CHECK_EVERY = 100
-    # No rejection fallback exists here; the played distribution is always
-    # the FTRL one.
-    last_branch_p = True
+    _COPIED = ("cum",)
 
     def __init__(self, graph: FeedbackGraph, nu: np.ndarray, eta: float,
                  check_inverse_bound: bool = True):
@@ -62,7 +60,6 @@ class KnownDistLearner:
         self.cum = np.zeros((self.num_contexts, self.num_arms))
         self.t = 0  # rounds completed
         self.check_inverse_bound = check_inverse_bound
-        self.last_play: np.ndarray | None = None
 
     def distributions(self) -> np.ndarray:
         """Current per-context playing distributions, shape (M, K)."""
@@ -75,12 +72,11 @@ class KnownDistLearner:
         p_bar = self.nu @ dists
         return self.graph.in_mask @ p_bar
 
-    def act(self, t: int, context: int, rng: np.random.Generator) -> int:
+    def act(self, t: int, context: int, rng: np.random.Generator) -> Play:
         if t != self.t:
             raise ValueError(f"act called for round {t}, expected {self.t}")
         p = exp_weights(self.cum[context], self.eta)
-        self.last_play = p
-        return sample_arm(p, rng)
+        return Play(sample_arm(p, rng), p, True)  # no rejection fallback here
 
     def update(self, rev: Reveal, rng: np.random.Generator | None = None) -> None:
         """Fold one reveal into every context's cumulative estimates.

@@ -19,11 +19,11 @@ denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Reveal
+from .environment import Play, Replayable, Reveal
 from .graph import FeedbackGraph
 from .simplex import exp_weights, sample_arm
 
@@ -48,12 +48,6 @@ class ParamSchedule:
             raise ValueError(f"epoch_len must be an even integer >= 2, got {self.epoch_len}")
         if self.gamma <= 0 or self.eta <= 0 or self.iota <= 0:
             raise ValueError("iota, gamma and eta must be positive")
-
-    def with_scale(self, tuned_scale: float) -> "ParamSchedule":
-        """Rescale gamma and recompute eta from it, keeping iota and L."""
-        gamma = tuned_scale * 16.0 * self.iota / self.epoch_len
-        eta = gamma / (2.0 * (2.0 * self.epoch_len * gamma + self.iota))
-        return replace(self, gamma=gamma, eta=eta, tuned_scale=tuned_scale)
 
 
 def even_divisors(n: int) -> list[int]:
@@ -153,23 +147,19 @@ def rejection_distribution(p_row: np.ndarray, s_row: np.ndarray) -> tuple[np.nda
     return (p_row if use_p else s_row), use_p
 
 
-def accept_probability(s_row: np.ndarray, q_row: np.ndarray,
-                       graph: FeedbackGraph, arm: int) -> float:
-    """Thinning probability s(N_in(a)) / (2 q(N_in(a))), clamped to [0, 1].
+def accept_probability(s_in: np.ndarray, q_in: np.ndarray) -> np.ndarray:
+    """Per-arm thinning probabilities s(N_in(a)) / (2 q(N_in(a))), from the
+    in-neighborhood masses of the snapshot row and of the played row.
 
-    Exactly 1/2 on the snapshot branch; at most 1 on the FTRL branch.
+    Exactly 1/2 on the snapshot branch; at most 1 on the FTRL branch, where
+    the rejection test kept q(N_in(a)) >= s(N_in(a)) / 2 for every arm.
     """
-    s_in = float(graph.in_mask[arm] @ s_row)
-    q_in = float(graph.in_mask[arm] @ q_row)
-    if q_in <= 0:
-        raise RuntimeError("zero in-neighborhood mass on the played distribution "
-                           "(impossible with self-loops)")
-    return float(np.clip(s_in / (2.0 * q_in), 0.0, 1.0))
+    return s_in / (2.0 * q_in)
 
 
 @dataclass
 class PairRecord:
-    """Outcome of one finished round pair (diagnostics hook).
+    """Outcome of one finished round pair, as ``EpochLearner.update`` returns it.
 
     ``losses`` holds the loss round's losses of the used arms for every
     context, one column per used arm in ascending arm order (the order of
@@ -182,13 +172,17 @@ class PairRecord:
     losses: np.ndarray    # (M, n_used) loss block of the used arms
 
 
-class EpochLearner:
+class EpochLearner(Replayable):
     """Algorithm state for the unknown-distribution setting.
 
     Snapshots are stored as frozen probability tables, never recomputed from
     mutable state, so a fixed snapshot can never drift. Single-threaded per
     instance.
     """
+
+    # Mutated in place; every other field is rebound (``end_epoch`` makes
+    # ``w_hat`` the old ``w_hat_acc`` object and starts a fresh accumulator).
+    _COPIED = ("cum", "w_hat_acc", "_pending")
 
     def __init__(self, graph: FeedbackGraph, num_contexts: int, params: ParamSchedule):
         if not graph.has_all_self_loops():
@@ -218,9 +212,6 @@ class EpochLearner:
         self._p_pair: np.ndarray | None = None
         self._p_pair_in: np.ndarray | None = None
         self._pending: list[tuple[int, int, bool, Reveal | None]] = []
-        self.last_play: np.ndarray | None = None
-        self.last_branch_p: bool = False
-        self.last_pair: PairRecord | None = None
 
     @property
     def epoch_len(self) -> int:
@@ -233,7 +224,7 @@ class EpochLearner:
             return self._p_pair
         return self.s_cur
 
-    def act(self, t: int, context: int, rng: np.random.Generator) -> int:
+    def act(self, t: int, context: int, rng: np.random.Generator) -> Play:
         if t != self.t:
             raise ValueError(f"act called for round {t}, expected {self.t}")
         if not 0 <= context < self.num_contexts:
@@ -248,12 +239,10 @@ class EpochLearner:
                 self._p_pair_in = self.graph.in_mass_rows(self._p_pair)
             q, branch_p = rejection_distribution(self._p_pair[context], self.s_cur[context])
         arm = sample_arm(q, rng)
-        self.last_play = q
-        self.last_branch_p = branch_p
         self._pending.append((context, arm, branch_p, None))
-        return arm
+        return Play(arm, q, branch_p)
 
-    def update(self, rev: Reveal, rng: np.random.Generator) -> None:
+    def update(self, rev: Reveal, rng: np.random.Generator) -> PairRecord | None:
         if not self._pending or self._pending[-1][3] is not None:
             raise RuntimeError("update without a matching act")
         context, arm, branch_p, _ = self._pending[-1]
@@ -261,6 +250,7 @@ class EpochLearner:
             raise ValueError("reveal does not match the played arm")
         self._pending[-1] = (context, arm, branch_p, rev)
 
+        pair = None
         if self.epoch == 1:
             # Importance accumulation for epoch 2 from the already-fixed
             # uniform snapshot; no loss estimates in the first epoch.
@@ -268,14 +258,15 @@ class EpochLearner:
             self.w_hat_acc += self._s_next_in[context] / (2.0 * L)
             self._pending.clear()
         elif len(self._pending) == 2:
-            self._finalize_pair(rng)
+            pair = self._finalize_pair(rng)
 
         self.pos += 1
         self.t += 1
         if self.pos == self.epoch_len:
             self.end_epoch()
+        return pair
 
-    def _finalize_pair(self, rng: np.random.Generator) -> None:
+    def _finalize_pair(self, rng: np.random.Generator) -> PairRecord:
         (c1, a1, b1, rev1), (c2, a2, b2, rev2) = self._pending
         self._pending.clear()
         L, gamma = self.epoch_len, self.params.gamma
@@ -294,8 +285,7 @@ class EpochLearner:
         self.w_hat_acc += self._s_next_in[cf] / (2.0 * (L // 2))
 
         q_in = self._p_pair_in[cl] if bl else self._s_cur_in[cl]
-        accept = self._s_cur_in[cl] / (2.0 * q_in)
-        S = rng.random(self.num_arms) < accept
+        S = rng.random(self.num_arms) < accept_probability(self._s_cur_in[cl], q_in)
         used = self.graph.out_mask[al] & S
         if used.any():
             used_cols = used[revl.arms]
@@ -305,8 +295,8 @@ class EpochLearner:
             self.cum[:, arms_used] += 2.0 * losses / denom
         else:
             losses = revl.losses[:, :0]
-        self.last_pair = PairRecord(t_first=self.t - 1, loss_offset=loss_offset,
-                                    used=used, losses=losses)
+        return PairRecord(t_first=self.t - 1, loss_offset=loss_offset,
+                          used=used, losses=losses)
 
     def end_epoch(self) -> None:
         """Roll snapshots and importance estimates into the next epoch."""

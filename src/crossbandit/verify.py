@@ -25,7 +25,7 @@ _CHECKS: list[tuple[str, Callable[[], CheckResult], Callable[[], CheckResult]]] 
      lambda: acceptance.check_importance_estimate_unbiased(n_epochs=1_500)),
     ("concentration-events",
      acceptance.check_concentration_events,
-     lambda: acceptance.check_concentration_events(n_epochs=60)),
+     lambda: acceptance.check_concentration_events(n_epochs=200)),
     ("rejection-inactivity",
      acceptance.check_rejection_inactivity,
      lambda: acceptance.check_rejection_inactivity(replicates=3)),

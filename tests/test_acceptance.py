@@ -69,7 +69,7 @@ class TestCheckSensitivity:
         assert res.passed
         # re-run the same statistic against a target inflated by a factor
         # large enough that 3 SE cannot absorb it
-        from crossbandit.environment import TableOracle, sample_context
+        from crossbandit.environment import TableOracle, reveal, sample_context
         from crossbandit.acceptance import _warm_epoch_learner
         graph, nu, _, learner, rng = _warm_epoch_learner(12, epoch_len=32,
                                                          stop_epoch=3, stop_pos=4)
@@ -77,21 +77,16 @@ class TestCheckSensitivity:
         wrong = 1.5 * w_exact
         M, K = learner.num_contexts, learner.num_arms
         dense = TableOracle(0.5 * np.ones((2, M, K)))
-        cum0, acc0, pos0, t0 = (learner.cum.copy(), learner.w_hat_acc.copy(),
-                                learner.pos, learner.t)
+        s0, t0 = learner.state(), learner.t
         n = 4_000
         used = np.zeros(K)
         for _ in range(n):
-            np.copyto(learner.cum, cum0)
-            np.copyto(learner.w_hat_acc, acc0)
-            learner.pos, learner.t = pos0, t0
-            learner._pending.clear()
+            learner.restore(s0)
             for off in range(2):
                 c = sample_context(nu, rng)
-                a = learner.act(t0 + off, c, rng)
-                from crossbandit.environment import reveal
-                learner.update(reveal(dense, graph, off, a), rng)
-            used += learner.last_pair.used
+                a = learner.act(t0 + off, c, rng).arm
+                pair = learner.update(reveal(dense, graph, off, a), rng)
+            used += pair.used
         rate = used / n
         se = np.sqrt(rate * (1 - rate) / n)
         assert not np.all(np.abs(rate - wrong) <= 3 * se)

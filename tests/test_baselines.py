@@ -13,7 +13,7 @@ NU = np.array([0.4, 0.3, 0.2, 0.1])
 def drive(learner, graph, oracle, nu, rng, rounds):
     for t in range(rounds):
         c = sample_context(nu, rng)
-        a = learner.act(t, c, rng)
+        a = learner.act(t, c, rng).arm
         learner.update(reveal(oracle, graph, t, a), rng)
 
 
@@ -24,9 +24,8 @@ class TestUniform:
         rng = np.random.default_rng(0)
         n = 100_000
         counts = np.zeros(5)
-        for i in range(n):
-            counts[lrn.act(i, 0, rng)] += 1
-            lrn.t = i + 1  # skip update; the uniform baseline keeps no other state
+        for _ in range(n):
+            counts[lrn.act(0, 0, rng).arm] += 1  # act leaves the learner unchanged
         freq = counts / n
         bound = 3 * math.sqrt(0.2 * 0.8 / n)
         assert np.all(np.abs(freq - 0.2) <= bound)
@@ -52,7 +51,7 @@ class TestGraphExp3:
             seq = []
             for t in range(256):
                 c = sample_context(nu1, rng)
-                a = lrn.act(t, c, rng)
+                a = lrn.act(t, c, rng).arm
                 lrn.update(reveal(oracle, graph, t, a), rng)
                 seq.append(a)
             seqs.append(seq)
@@ -77,7 +76,7 @@ class TestGraphExp3:
         contexts = [0, 1, 0, 0, 1, 1, 0, 1]
         for t, c in enumerate(contexts):
             before = lrn.cum.copy()
-            a = lrn.act(t, c, rng)
+            a = lrn.act(t, c, rng).arm
             lrn.update(reveal(oracle, graph, t, a), rng)
             other = 1 - c
             assert np.array_equal(lrn.cum[other], before[other])
@@ -92,7 +91,7 @@ class TestGraphExp3:
         realized = []
         for t in range(4):
             c = sample_context(np.array([0.5, 0.5]), rng)
-            a = lrn.act(t, c, rng)
+            a = lrn.act(t, c, rng).arm
             lrn.update(reveal(oracle, graph, t, a), rng)
             realized.append(c)
         expected = sum(tensor[t, c] for t, c in enumerate(realized))
@@ -110,7 +109,7 @@ class TestGraphExp3:
         obs = np.zeros(4)
         for _ in range(n):
             lrn = GraphExp3Baseline(graph, 1, eta=0.1, gamma_ix=gamma_ix, per_context=False)
-            a = lrn.act(0, 0, rng)
+            a = lrn.act(0, 0, rng).arm
             lrn.update(reveal(oracle, graph, 0, a), rng)
             obs[graph.out_neighbors[a],] += 1
             total += lrn.cum[0]

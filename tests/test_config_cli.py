@@ -142,5 +142,11 @@ class TestCli:
         assert "[PASS] 10 independence-oracle-equivalence" in out
         assert "1/1 checks passed" in out
 
+    def test_verify_quick_concentration_events_passes(self, capsys):
+        # the check needs at least 200 epochs, so its quick scale must run them
+        assert main(["verify", "--level", "quick",
+                     "--only", "concentration-events"]) == 0
+        assert "[PASS] 04 concentration-events" in capsys.readouterr().out
+
     def test_verify_unknown_check_name(self, capsys):
         assert main(["verify", "--only", "banana"]) == 2

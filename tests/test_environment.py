@@ -8,7 +8,6 @@ from crossbandit.environment import (
     AuctionOracle,
     StochasticGapOracle,
     TableOracle,
-    auction_losses,
     gap_means,
     load_opposing_bids,
     reveal,
@@ -131,30 +130,30 @@ class TestAdversarialShift:
 
 class TestAuctionOracle:
     def test_win_at_value_gives_half_loss(self):
-        oracle = auction_losses([0.5], [0.5], [0.3])
+        oracle = AuctionOracle([0.5], [0.5], [0.3])
         assert oracle.loss(0, 0, 0) == pytest.approx(0.5)
 
     def test_losing_gives_half_loss(self):
-        oracle = auction_losses([0.9], [0.2], [0.6])
+        oracle = AuctionOracle([0.9], [0.2], [0.6])
         assert oracle.loss(0, 0, 0) == pytest.approx(0.5)
 
     def test_best_win_gives_zero_loss(self):
-        oracle = auction_losses([1.0], [0.0], [0.0])
+        oracle = AuctionOracle([1.0], [0.0], [0.0])
         assert oracle.loss(0, 0, 0) == pytest.approx(0.0)
 
     def test_overbidding_penalized_within_unit(self):
-        oracle = auction_losses([0.0], [1.0], [0.0])
+        oracle = AuctionOracle([0.0], [1.0], [0.0])
         assert oracle.loss(0, 0, 0) == pytest.approx(1.0)
 
     def test_unsorted_grids_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            auction_losses([0.5, 0.1], [0.1, 0.2], [0.0])
+            AuctionOracle([0.5, 0.1], [0.1, 0.2], [0.0])
         with pytest.raises(ValueError, match="sorted"):
-            auction_losses([0.1, 0.5], [0.9, 0.2], [0.0])
+            AuctionOracle([0.1, 0.5], [0.9, 0.2], [0.0])
 
     def test_all_losses_in_unit_interval(self):
         rng = np.random.default_rng(11)
-        oracle = auction_losses(np.sort(rng.random(4)), np.sort(rng.random(6)),
+        oracle = AuctionOracle(np.sort(rng.random(4)), np.sort(rng.random(6)),
                                 uniform_opposing_bids(256, seed=3))
         for t in range(256):
             s = oracle.loss_slice(t)

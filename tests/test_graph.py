@@ -12,7 +12,6 @@ from crossbandit.graph import (
     independence_number_bruteforce,
     is_strongly_observable,
     load_adjacency,
-    neighborhood_mass,
 )
 
 
@@ -136,29 +135,28 @@ class TestNeighborhoodMass:
     def test_complete_graph_is_total_mass(self):
         g = build_graph(GraphSpec(kind="complete_with_self_loops", num_arms=5))
         p = np.array([0.5, 0.2, 0.1, 0.1, 0.1])
-        for a in range(5):
-            assert neighborhood_mass(p, a, g) == pytest.approx(1.0)
+        assert g.in_mass(p) == pytest.approx(np.ones(5))
 
     def test_self_loops_uniform(self):
         g = build_graph(GraphSpec(kind="self_loops_only", num_arms=4))
         p = np.full(4, 0.25)
-        assert neighborhood_mass(p, 2, g) == pytest.approx(0.25)
+        assert g.in_mass(p)[2] == pytest.approx(0.25)
 
     def test_cliques_sum_over_own_clique(self):
         g = build_graph(GraphSpec(kind="disjoint_cliques", clique_sizes=(2, 2)))
         p = np.array([0.1, 0.2, 0.3, 0.4])
-        assert neighborhood_mass(p, 0, g) == pytest.approx(0.3)
+        assert g.in_mass(p)[0] == pytest.approx(0.3)
 
     def test_out_of_range_arm(self):
         g = build_graph(GraphSpec(kind="self_loops_only", num_arms=4))
-        with pytest.raises(ValueError):
-            neighborhood_mass(np.full(4, 0.25), 4, g)
+        with pytest.raises(IndexError):
+            g.in_mass(np.full(4, 0.25))[4]
 
     def test_self_loops_masses_partition_unit(self):
         g = build_graph(GraphSpec(kind="self_loops_only", num_arms=6))
         rng = np.random.default_rng(2)
         p = rng.dirichlet(np.ones(6))
-        total = sum(neighborhood_mass(p, a, g) for a in range(6))
+        total = g.in_mass(p).sum()
         assert total == pytest.approx(1.0)
 
 

@@ -40,7 +40,7 @@ class TestImportance:
         rng = np.random.default_rng(1)
         for t in range(300):
             c = sample_context(NU, rng)
-            a = lrn.act(t, c, rng)
+            a = lrn.act(t, c, rng).arm
             lrn.update(reveal(oracle, graph, t, a))
             assert (lrn.importance() > 0).all()
 
@@ -49,18 +49,14 @@ class TestAct:
     def test_uniform_on_fresh_state(self):
         _, lrn = make(GraphSpec(kind="self_loops_only", num_arms=4))
         rng = np.random.default_rng(0)
-        lrn.act(0, 1, rng)
-        assert np.allclose(lrn.last_play, 0.25)
+        assert np.allclose(lrn.act(0, 1, rng).q, 0.25)
 
     def test_huge_loss_suppresses_arm(self):
         _, lrn = make(GraphSpec(kind="self_loops_only", num_arms=4), eta=0.5)
         lrn.cum[2, 0] = 1e4
         rng = np.random.default_rng(0)
-        lrn.act(0, 2, rng)
-        assert lrn.last_play[0] < 1e-9
-        lrn.t = 0  # other contexts unaffected
-        lrn.act(0, 1, rng)
-        assert np.allclose(lrn.last_play, 0.25)
+        assert lrn.act(0, 2, rng).q[0] < 1e-9
+        assert np.allclose(lrn.act(0, 1, rng).q, 0.25)  # other contexts unaffected
 
     def test_round_order_enforced(self):
         _, lrn = make(GraphSpec(kind="self_loops_only", num_arms=4))
@@ -82,7 +78,7 @@ class TestAct:
             rng = np.random.default_rng(77)
             for t in range(100):
                 c = sample_context(NU, rng)
-                a = lrn.act(t, c, rng)
+                a = lrn.act(t, c, rng).arm
                 lrn.update(reveal(oracle, graph, t, a))
                 seq.append(a)
         assert seq1 == seq2
@@ -94,7 +90,7 @@ class TestUpdate:
         tensor = np.random.default_rng(0).random((1, 4, 3))
         oracle = TableOracle(tensor)
         rng = np.random.default_rng(1)
-        a = lrn.act(0, 0, rng)
+        a = lrn.act(0, 0, rng).arm
         lrn.update(reveal(oracle, graph, 0, a))
         assert np.allclose(lrn.cum, tensor[0])
 
@@ -102,7 +98,7 @@ class TestUpdate:
         graph, lrn = make(GraphSpec(kind="self_loops_only", num_arms=3))
         oracle = TableOracle(np.zeros((1, 4, 3)))
         rng = np.random.default_rng(1)
-        a = lrn.act(0, 2, rng)
+        a = lrn.act(0, 2, rng).arm
         lrn.update(reveal(oracle, graph, 0, a))
         assert np.count_nonzero(lrn.cum) == 0
 
@@ -110,7 +106,7 @@ class TestUpdate:
         graph, lrn = make(GraphSpec(kind="disjoint_cliques", clique_sizes=(2, 2)))
         oracle = TableOracle(np.full((1, 4, 4), 0.5))
         rng = np.random.default_rng(4)
-        a = lrn.act(0, 0, rng)
+        a = lrn.act(0, 0, rng).arm
         lrn.update(reveal(oracle, graph, 0, a))
         clique = [0, 1] if a in (0, 1) else [2, 3]
         other = [c for c in range(4) if c not in clique]
@@ -124,7 +120,7 @@ class TestUpdate:
         prev = lrn.cum.copy()
         for t in range(200):
             c = sample_context(NU, rng)
-            a = lrn.act(t, c, rng)
+            a = lrn.act(t, c, rng).arm
             lrn.update(reveal(oracle, graph, t, a))
             assert (lrn.cum >= prev - 1e-15).all()
             prev = lrn.cum.copy()
@@ -141,7 +137,7 @@ class TestEstimatorMoments:
         rng = np.random.default_rng(seed)
         for t in range(200):
             c = sample_context(NU, rng)
-            a = lrn.act(t, c, rng)
+            a = lrn.act(t, c, rng).arm
             lrn.update(reveal(oracle, graph, t, a))
         return graph, lrn, rng
 
@@ -151,16 +147,15 @@ class TestEstimatorMoments:
         losses = 0.1 + 0.8 * rng.random((4, 6))
         dense = TableOracle(losses[None])
         n = 20_000
+        s0, t0 = lrn.state(), lrn.t
         cum0 = lrn.cum.copy()
-        t0 = lrn.t
         w = lrn.importance()
         total = np.zeros_like(cum0)
         obs = np.zeros(6)
         for _ in range(n):
-            np.copyto(lrn.cum, cum0)
-            lrn.t = t0
+            lrn.restore(s0)
             c = sample_context(NU, rng)
-            a = lrn.act(t0, c, rng)
+            a = lrn.act(t0, c, rng).arm
             rev = reveal(dense, graph, 0, a)
             lrn.update(rev)
             obs[rev.arms] += 1
@@ -217,13 +212,12 @@ class TestGuards:
         rng = np.random.default_rng(3)
         for t in range(400):
             c = sample_context(NU, rng)
-            a = lrn.act(t, c, rng)
+            a = lrn.act(t, c, rng).arm
             lrn.update(reveal(oracle, graph, t, a))
 
     def test_inverse_bound_violation_raises(self):
         graph, lrn = make(GraphSpec(kind="self_loops_only", num_arms=4))
         dists = lrn.distributions()
         w = np.full(4, 1e-12)  # forged importances make the mass blow up
-        lrn.t = lrn.CHECK_EVERY
         with pytest.raises(InvariantViolation, match="round"):
             lrn._check_inverse_bound(dists, w)

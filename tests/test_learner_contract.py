@@ -1,0 +1,114 @@
+"""Property tests of the learner contract (``environment.Play``) on random
+small self-looped graphs, for every algorithm the harness can run."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crossbandit.environment import TableOracle, reveal, sample_context
+from crossbandit.graph import FeedbackGraph, GraphSpec
+from crossbandit.harness import ALGOS, OracleSpec, RunConfig, make_learner, run_replicate, \
+    summarize_regret
+from crossbandit.unknown import rejection_distribution
+
+L = 4  # epoch length of the epoch learner
+
+
+@st.composite
+def self_looped_graphs(draw):
+    K = draw(st.integers(min_value=2, max_value=6))
+    edges = draw(st.lists(st.booleans(), min_size=K * K, max_size=K * K))
+    return FeedbackGraph([tuple(b for b in range(K) if b == a or edges[a * K + b])
+                          for a in range(K)])
+
+
+def _config(graph, algo, M, epochs, eta, seed, **kw):
+    # run_replicate takes the graph as built; the spec only names its size
+    return RunConfig(graph=GraphSpec(kind="self_loops_only", num_arms=graph.num_arms),
+                     oracle=OracleSpec(kind="stochastic_gap"), num_contexts=M,
+                     horizon=epochs * L, algo=algo, seed=seed, param_mode="manual",
+                     epoch_len=L, eta=eta, gamma=0.1, **kw)
+
+
+cases = dict(graph=self_looped_graphs(), algo=st.sampled_from(ALGOS),
+             M=st.integers(min_value=1, max_value=3), epochs=st.integers(min_value=2, max_value=5),
+             eta=st.sampled_from([0.05, 1.0, 20.0]), seed=st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**cases)
+def test_plays_and_pairs_keep_the_contract(graph, algo, M, epochs, eta, seed):
+    config = _config(graph, algo, M, epochs, eta, seed)
+    nu = config.context_distribution()
+    rng = np.random.default_rng(seed)
+    oracle = TableOracle(rng.random((config.horizon, M, graph.num_arms)))
+    learner = make_learner(config, graph, nu)
+    arms, pairs = [], 0
+    for t in range(config.horizon):
+        c = sample_context(nu, rng)
+        play = learner.act(t, c, rng)
+        arms.append(play.arm)
+        assert (play.q >= 0).all() and abs(play.q.sum() - 1.0) < 1e-9
+        assert play.q[play.arm] > 0
+        if algo != "unknown":
+            assert play.ftrl
+        elif learner.epoch == 1:
+            assert not play.ftrl and np.array_equal(play.q, learner.s_cur[c])
+        else:
+            q, ftrl = rejection_distribution(learner.distributions()[c], learner.s_cur[c])
+            assert play.ftrl == ftrl and np.array_equal(play.q, q)
+        pair = learner.update(reveal(oracle, graph, t, play.arm), rng)
+        if pair is not None:
+            assert algo == "unknown" and t % 2 == 1
+            played = arms[pair.t_first + pair.loss_offset]
+            assert not (pair.used & ~graph.out_mask[played]).any()
+            assert pair.losses.shape == (M, int(pair.used.sum()))
+            pairs += 1
+    assert pairs == ((config.horizon - L) // 2 if algo == "unknown" else 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**cases)
+def test_traces_keep_the_contract(graph, algo, M, epochs, eta, seed):
+    config = _config(graph, algo, M, epochs, eta, seed, diagnostics=True, trace_level="full")
+    trace = run_replicate(config, graph, 0)
+    T = config.horizon
+    assert np.allclose(trace.q_rows.sum(axis=1), 1.0)
+    assert (trace.q_rows[np.arange(T), trace.arms] > 0).all()
+    assert not (trace.used_mask & ~graph.out_mask[trace.arms]).any()
+    if algo == "unknown":
+        assert len(trace.epochs) == T // L
+        assert [er.start_t for er in trace.epochs] == list(range(0, T, L))
+        assert not trace.p_branch[:L].any()
+    else:
+        assert trace.epochs == [] and trace.p_branch.all() and not trace.used_mask.any()
+    summary = summarize_regret(trace)
+    assert np.isclose(summary.per_context_expected.sum(), summary.expected)
+
+
+@pytest.mark.parametrize("algo", ["known", "unknown"])
+def test_a_state_replays_identically_across_epoch_ends(algo):
+    graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
+    config = _config(graph, algo, 2, 6, 1.0, 0)
+    nu = config.context_distribution()
+    oracle = TableOracle(np.random.default_rng(1).random((config.horizon, 2, 3)))
+    learner = make_learner(config, graph, nu)
+
+    def drive(rounds, rng):
+        arms = []
+        for _ in range(rounds):
+            t = learner.t
+            arms.append(learner.act(t, sample_context(nu, rng), rng).arm)
+            learner.update(reveal(oracle, graph, t, arms[-1]), rng)
+        return arms, learner.cum.copy(), learner.distributions().copy()
+
+    drive(L + 2, np.random.default_rng(2))  # mid-epoch, pair boundary
+    s0 = learner.state()
+    # each replay crosses two epoch ends, which rebind the estimates
+    first = drive(2 * L, np.random.default_rng(3))
+    for _ in range(2):  # a state can be restored any number of times
+        learner.restore(s0)
+        again = drive(2 * L, np.random.default_rng(3))
+        assert first[0] == again[0]
+        assert np.array_equal(first[1], again[1]) and np.array_equal(first[2], again[2])

@@ -23,7 +23,7 @@ def drive(learner, graph, oracle, nu, rng, rounds, start=0):
     for i in range(rounds):
         t = start + i
         c = sample_context(nu, rng)
-        a = learner.act(t, c, rng)
+        a = learner.act(t, c, rng).arm
         learner.update(reveal(oracle, graph, t % oracle.num_rounds, a), rng)
 
 
@@ -109,20 +109,20 @@ class TestAcceptProbability:
     def test_snapshot_branch_is_half(self):
         g = build_graph(GraphSpec(kind="erdos_renyi", num_arms=6, edge_prob=0.4), rng_seed=1)
         s = np.random.default_rng(0).dirichlet(np.ones(6))
-        for a in range(6):
-            assert accept_probability(s, s, g, a) == pytest.approx(0.5)
+        assert np.array_equal(accept_probability(g.in_mass(s), g.in_mass(s)), np.full(6, 0.5))
 
     def test_complete_graph_is_half(self):
         g = build_graph(GraphSpec(kind="complete_with_self_loops", num_arms=4))
         s = np.array([0.1, 0.2, 0.3, 0.4])
         q = np.array([0.4, 0.3, 0.2, 0.1])
-        assert accept_probability(s, q, g, 2) == pytest.approx(0.5)
+        assert np.allclose(accept_probability(g.in_mass(s), g.in_mass(q)), 0.5)
 
     def test_self_loops_direct_ratio(self):
         g = build_graph(GraphSpec(kind="self_loops_only", num_arms=2))
         s = np.array([0.2, 0.8])
         q = np.array([0.3, 0.7])
-        assert accept_probability(s, q, g, 0) == pytest.approx(0.2 / 0.6)
+        assert accept_probability(g.in_mass(s), g.in_mass(q)) == \
+            pytest.approx([0.2 / 0.6, 0.8 / 1.4])
 
     def test_ftrl_branch_never_exceeds_one(self):
         g = build_graph(GraphSpec(kind="erdos_renyi", num_arms=8, edge_prob=0.3), rng_seed=5)
@@ -131,8 +131,7 @@ class TestAcceptProbability:
             s = rng.dirichlet(np.ones(8))
             p = rng.dirichlet(np.ones(8))
             q, used_p = rejection_distribution(p, s)
-            for a in range(8):
-                assert accept_probability(s, q, g, a) <= 1.0 + 1e-12
+            assert (accept_probability(g.in_mass(s), g.in_mass(q)) <= 1.0 + 1e-12).all()
 
 
 def fresh_learner(spec, epoch_len=32, gamma=0.05, eta=0.01, M=4, seed=2):
@@ -172,9 +171,9 @@ class TestFirstEpoch:
     def test_plays_uniform_in_first_epoch(self):
         graph, lrn = fresh_learner(GraphSpec(kind="self_loops_only", num_arms=8))
         rng = np.random.default_rng(0)
-        lrn.act(0, 1, rng)
-        assert np.allclose(lrn.last_play, 1 / 8)
-        assert not lrn.last_branch_p
+        play = lrn.act(0, 1, rng)
+        assert np.allclose(play.q, 1 / 8)
+        assert not play.ftrl
 
 
 class TestEpochRoll:
@@ -260,7 +259,7 @@ class TestPairMechanics:
             seq = []
             for t in range(192):
                 c = sample_context(NU, rng)
-                a = lrn.act(t, c, rng)
+                a = lrn.act(t, c, rng).arm
                 lrn.update(reveal(oracle, graph, t, a), rng)
                 seq.append(a)
             arms.append(seq)
@@ -273,13 +272,8 @@ class TestEstimatorMoments:
                                    M=4, seed=3)
         oracle = StochasticGapOracle(gap_means(4, 8, best_stride=3), num_rounds=512, seed=seed)
         rng = np.random.default_rng(seed)
-        t = 0
-        while not (lrn.epoch == 3 and lrn.pos == 4):
-            c = sample_context(NU, rng)
-            a = lrn.act(t, c, rng)
-            lrn.update(reveal(oracle, graph, t, a), rng)
-            t += 1
-        return graph, lrn, rng, t
+        drive(lrn, graph, oracle, NU, rng, 2 * lrn.epoch_len + 4)  # epoch 3, round 4
+        return graph, lrn, rng, lrn.t
 
     def test_pair_increment_conditional_mean(self):
         graph, lrn, rng, t0 = self._frozen_pair_state()
@@ -290,22 +284,17 @@ class TestEstimatorMoments:
         target = 2.0 * losses * w_exact / (lrn.w_hat + 1.5 * lrn.params.gamma)
 
         n = 20_000
-        cum0 = lrn.cum.copy()
-        acc0 = lrn.w_hat_acc.copy()
-        pos0 = lrn.pos
+        s0, cum0 = lrn.state(), lrn.cum.copy()
         total = np.zeros((M, K))
         used_counts = np.zeros(K)
         for _ in range(n):
-            np.copyto(lrn.cum, cum0)
-            np.copyto(lrn.w_hat_acc, acc0)
-            lrn.pos, lrn.t = pos0, t0
-            lrn._pending.clear()
+            lrn.restore(s0)
             for off in range(2):
                 c = sample_context(NU, rng)
-                a = lrn.act(t0 + off, c, rng)
-                lrn.update(reveal(dense, graph, off, a), rng)
+                a = lrn.act(t0 + off, c, rng).arm
+                pair = lrn.update(reveal(dense, graph, off, a), rng)
             total += lrn.cum - cum0
-            used_counts += lrn.last_pair.used
+            used_counts += pair.used
         mean_inc = total / n
         p_hat = used_counts / n
         jump = 2.0 * losses / (lrn.w_hat + 1.5 * lrn.params.gamma)
@@ -318,18 +307,15 @@ class TestEstimatorMoments:
         dense = TableOracle(0.5 * np.ones((2, M, K)))
         w_exact = (NU @ graph.in_mass_rows(lrn.s_cur)) / 2.0
         n = 20_000
-        cum0, acc0, pos0 = lrn.cum.copy(), lrn.w_hat_acc.copy(), lrn.pos
+        s0 = lrn.state()
         used_counts = np.zeros(K)
         for _ in range(n):
-            np.copyto(lrn.cum, cum0)
-            np.copyto(lrn.w_hat_acc, acc0)
-            lrn.pos, lrn.t = pos0, t0
-            lrn._pending.clear()
+            lrn.restore(s0)
             for off in range(2):
                 c = sample_context(NU, rng)
-                a = lrn.act(t0 + off, c, rng)
-                lrn.update(reveal(dense, graph, off, a), rng)
-            used_counts += lrn.last_pair.used
+                a = lrn.act(t0 + off, c, rng).arm
+                pair = lrn.update(reveal(dense, graph, off, a), rng)
+            used_counts += pair.used
         rate = used_counts / n
         se = np.sqrt(rate * (1 - rate) / n)
         assert np.all(np.abs(rate - w_exact) <= 3 * se + 1e-12)
@@ -339,32 +325,18 @@ class TestEstimatorMoments:
                                    M=4, seed=3)
         oracle = StochasticGapOracle(gap_means(4, 8, best_stride=3), num_rounds=512, seed=35)
         rng = np.random.default_rng(35)
-        t = 0
-        while not (lrn.epoch == 3 and lrn.pos == 0):
-            c = sample_context(NU, rng)
-            a = lrn.act(t, c, rng)
-            lrn.update(reveal(oracle, graph, t, a), rng)
-            t += 1
         L = lrn.epoch_len
+        drive(lrn, graph, oracle, NU, rng, 2 * L)  # epoch 3, round 0
         w_next = (NU @ graph.in_mass_rows(lrn.s_next)) / 2.0
-        cum0 = lrn.cum.copy()
-        s_cur0, s_next0 = lrn.s_cur, lrn.s_next
-        in0, in1 = lrn._s_cur_in, lrn._s_next_in
-        w_hat0, e0, t0 = lrn.w_hat, lrn.epoch, lrn.t
+        s0, t0 = lrn.state(), lrn.t
         n = 2_000
         total = np.zeros(8)
         total_sq = np.zeros(8)
         for _ in range(n):
-            np.copyto(lrn.cum, cum0)
-            lrn.s_cur, lrn.s_next = s_cur0, s_next0
-            lrn._s_cur_in, lrn._s_next_in = in0, in1
-            lrn.w_hat = w_hat0
-            lrn.w_hat_acc = np.zeros(8)
-            lrn.epoch, lrn.pos, lrn.t = e0, 0, t0
-            lrn._pending.clear()
+            lrn.restore(s0)
             for i in range(L):
                 c = sample_context(NU, rng)
-                a = lrn.act(t0 + i, c, rng)
+                a = lrn.act(t0 + i, c, rng).arm
                 lrn.update(reveal(oracle, graph, (t0 + i) % 512, a), rng)
             total += lrn.w_hat
             total_sq += lrn.w_hat ** 2
