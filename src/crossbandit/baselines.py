@@ -33,6 +33,10 @@ class GraphExp3Baseline:
     realized context's state from its own reveal row; ``per_context=False``
     pools every round into a single state (still using only the realized
     context's loss row). With one context the two coincide.
+
+    Each state keeps its playing row, ``exp_weights`` of its cumulative row;
+    ``update`` rebuilds only the row of the state it changed. Rows are
+    rebound, never written, so a returned ``q`` or table stays as it was.
     """
 
     def __init__(self, graph: FeedbackGraph, num_contexts: int, eta: float,
@@ -49,36 +53,35 @@ class GraphExp3Baseline:
         self.per_context = per_context
         self.num_states = self.num_contexts if per_context else 1
         self.cum = np.zeros((self.num_states, self.num_arms))
+        self._rows = list(exp_weights(self.cum, self.eta))
         self.t = 0
         self._acted_context: int | None = None
-        self._acted_p: np.ndarray | None = None
 
     def _state_of(self, context: int) -> int:
         return context if self.per_context else 0
 
     def distributions(self) -> np.ndarray:
-        return exp_weights(self.cum, self.eta)
+        return np.stack(self._rows)
 
     def act(self, t: int, context: int, rng: np.random.Generator) -> Play:
         if t != self.t:
             raise ValueError(f"act called for round {t}, expected {self.t}")
-        p = exp_weights(self.cum[self._state_of(context)], self.eta)
+        p = self._rows[self._state_of(context)]
         self._acted_context = context
-        self._acted_p = p
         return Play(sample_arm(p, rng), p, True)
 
     def update(self, rev: Reveal, rng: np.random.Generator | None = None) -> None:
         if self._acted_context is None:
             raise RuntimeError("update without a matching act")
-        context, p = self._acted_context, self._acted_p
+        context = self._acted_context
         s = self._state_of(context)
         arms = rev.arms
-        p_in = self.graph.in_mask[arms] @ p
+        p_in = self.graph.in_mask[arms] @ self._rows[s]  # the row act played
         # Only the realized context's reveal row is consumed: these learners
         # model the world without cross-learning.
         self.cum[s, arms] += rev.losses[context] / (p_in + self.gamma_ix)
+        self._rows[s] = exp_weights(self.cum[s], self.eta)
         self._acted_context = None
-        self._acted_p = None
         self.t += 1
 
 

@@ -64,6 +64,10 @@ class Play(NamedTuple):
       learners) save the whole learner and put it back, so a Monte-Carlo
       replay can run one frozen round, pair or epoch many times. A state
       can be restored any number of times.
+
+    A returned ``q``, and a table returned by ``distributions()``, is never
+    written afterwards: learners rebind their policy tables instead, so the
+    caller may keep either without copying it.
     """
 
     arm: int

@@ -74,6 +74,17 @@ class OracleSpec:
             raise ValueError("table oracle needs table_path")
 
 
+def _auction_grids(spec: OracleSpec, M: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The auction's value grid (one value per context) and bid grid (one bid
+    per arm); evenly spaced on [0, 1] where the spec gives none."""
+    values = np.asarray(spec.value_grid) if spec.value_grid else np.linspace(0.0, 1.0, M)
+    bids = np.asarray(spec.bid_grid) if spec.bid_grid else np.linspace(0.0, 1.0, K)
+    if len(values) != M or len(bids) != K:
+        raise ValueError(f"auction grids have {len(values)} values and {len(bids)} bids, "
+                         f"need M={M} and K={K}")
+    return values, bids
+
+
 def build_loss_oracle(spec: OracleSpec, T: int, M: int, K: int, seed: int) -> LossOracle:
     if spec.kind == "stochastic_gap":
         means = gap_means(M, K, base=spec.base, gap=spec.gap, best_stride=spec.best_stride)
@@ -81,8 +92,7 @@ def build_loss_oracle(spec: OracleSpec, T: int, M: int, K: int, seed: int) -> Lo
     if spec.kind == "adversarial_shift":
         return AdversarialShiftOracle(T, M, K, low=spec.low, high=spec.high)
     if spec.kind == "auction":
-        values = np.asarray(spec.value_grid) if spec.value_grid else np.linspace(0.0, 1.0, M)
-        bids = np.asarray(spec.bid_grid) if spec.bid_grid else np.linspace(0.0, 1.0, K)
+        values, bids = _auction_grids(spec, M, K)
         opposing = (load_opposing_bids(spec.bids_path) if spec.bids_path
                     else uniform_opposing_bids(T, seed))
         if len(opposing) < T:
@@ -145,8 +155,11 @@ def resolve_schedule(config: RunConfig, graph: FeedbackGraph) -> ParamSchedule:
     against the horizon."""
     T, K = config.horizon, graph.num_arms
     if config.param_mode == "auto":
-        return schedule_params(K, T, graph.alpha,
-                               tuned_scale=config.tuned_scale, fit_horizon=True)
+        try:
+            return schedule_params(K, T, graph.alpha,
+                                   tuned_scale=config.tuned_scale, fit_horizon=True)
+        except ValueError as exc:
+            raise ConfigError(f"auto schedule: {exc}") from exc
     if config.epoch_len is None or config.eta is None or config.gamma is None:
         raise ConfigError("manual mode needs epoch_len, eta and gamma")
     L = int(config.epoch_len)
@@ -158,6 +171,20 @@ def resolve_schedule(config: RunConfig, graph: FeedbackGraph) -> ParamSchedule:
     iota = config.iota if config.iota is not None else 2.0 * math.log(8.0 * K * T * T)
     return ParamSchedule(iota=float(iota), epoch_len=L, gamma=float(config.gamma),
                          eta=float(config.eta), tuned_scale=config.tuned_scale)
+
+
+def _check_oracle_params(spec: OracleSpec, M: int, K: int) -> None:
+    """Reject the oracle parameters that ``build_loss_oracle`` would refuse
+    inside a run. Table files are read only by the run."""
+    try:
+        if spec.kind == "stochastic_gap":
+            gap_means(M, K, base=spec.base, gap=spec.gap, best_stride=spec.best_stride)
+        elif spec.kind == "adversarial_shift" and not 0 <= spec.low <= spec.high <= 1:
+            raise ValueError("need 0 <= low <= high <= 1")
+        elif spec.kind == "auction":
+            _auction_grids(spec, M, K)
+    except ValueError as exc:
+        raise ConfigError(f"{spec.kind} oracle: {exc}") from exc
 
 
 def validate_config(config: RunConfig) -> FeedbackGraph:
@@ -181,7 +208,12 @@ def validate_config(config: RunConfig) -> FeedbackGraph:
         raise ConfigError(f"need at least two arms, got {graph.num_arms}")
     if config.param_mode == "manual" and config.eta is not None and not config.eta > 0:
         raise ConfigError(f"manual eta must be positive, got {config.eta!r}")
+    if config.algo == "known" and not config.eta_scale > 0:
+        raise ConfigError(f"eta_scale must be positive, got {config.eta_scale!r}")
+    if config.gamma_ix is not None and not config.gamma_ix >= 0:
+        raise ConfigError(f"gamma_ix must be nonnegative, got {config.gamma_ix!r}")
     config.context_distribution()
+    _check_oracle_params(config.oracle, config.num_contexts, graph.num_arms)
     if config.algo == "unknown" and config.horizon > 0:
         resolve_schedule(config, graph)
     return graph

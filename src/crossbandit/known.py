@@ -35,9 +35,11 @@ class InvariantViolation(RuntimeError):
 class KnownDistLearner(Replayable):
     """Exponential-weights learner for a known context distribution.
 
-    Keeps one cumulative estimated-loss row per context; the playing
-    distribution for any context is derivable on demand. Single-threaded per
-    instance; independent instances may run in parallel.
+    Keeps one cumulative estimated-loss row per context. The (M, K) table of
+    playing distributions is built at most once per state of ``cum``: ``act``
+    reads its row, ``update`` weighs the reveal with it, and full traces hash
+    it. The table is read-only and only ever rebound, so states share it.
+    Single-threaded per instance; independent instances may run in parallel.
     """
 
     # Bound check cadence for the inverse-importance diagnostic.
@@ -60,22 +62,25 @@ class KnownDistLearner(Replayable):
         self.cum = np.zeros((self.num_contexts, self.num_arms))
         self.t = 0  # rounds completed
         self.check_inverse_bound = check_inverse_bound
+        self._dists: np.ndarray | None = None  # exp_weights(cum), built on demand
 
     def distributions(self) -> np.ndarray:
-        """Current per-context playing distributions, shape (M, K)."""
-        return exp_weights(self.cum, self.eta)
+        """Current per-context playing distributions, shape (M, K), read-only."""
+        if self._dists is None:
+            self._dists = exp_weights(self.cum, self.eta)
+            self._dists.flags.writeable = False
+        return self._dists
 
-    def importance(self, dists: np.ndarray | None = None) -> np.ndarray:
+    def importance(self) -> np.ndarray:
         """Observation probability w(a) for every arm under the current state."""
-        if dists is None:
-            dists = self.distributions()
-        p_bar = self.nu @ dists
+        p_bar = self.nu @ self.distributions()
         return self.graph.in_mask @ p_bar
 
     def act(self, t: int, context: int, rng: np.random.Generator) -> Play:
         if t != self.t:
             raise ValueError(f"act called for round {t}, expected {self.t}")
-        p = exp_weights(self.cum[context], self.eta)
+        # a row of exp_weights(cum) has the bits of exp_weights(cum[context])
+        p = self.distributions()[context]
         return Play(sample_arm(p, rng), p, True)  # no rejection fallback here
 
     def update(self, rev: Reveal, rng: np.random.Generator | None = None) -> None:
@@ -86,7 +91,7 @@ class KnownDistLearner(Replayable):
         unbiased.
         """
         dists = self.distributions()
-        w = self.importance(dists)
+        w = self.importance()
         arms = rev.arms
         if (w[arms] <= 0).any():
             raise InvariantViolation(
@@ -94,6 +99,7 @@ class KnownDistLearner(Replayable):
                 "(impossible with self-loops)"
             )
         self.cum[:, arms] += rev.losses / w[arms]
+        self._dists = None
         self.t += 1
         if self.check_inverse_bound and self.t % self.CHECK_EVERY == 0:
             self._check_inverse_bound(dists, w)

@@ -66,8 +66,8 @@ def sample_arm(p: np.ndarray, rng: np.random.Generator) -> int:
     """Categorical draw by inverse CDF over the stored order.
 
     Ties (zero-width intervals) resolve to the lowest index; deterministic
-    given the generator state.
+    given the generator state. ``p`` must be an ndarray.
     """
-    cdf = np.cumsum(p)
-    a = int(np.searchsorted(cdf, rng.random(), side="right"))
+    cdf = p.cumsum()
+    a = int(cdf.searchsorted(rng.random(), side="right"))
     return min(a, len(cdf) - 1)

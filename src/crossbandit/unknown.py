@@ -143,7 +143,7 @@ def rejection_distribution(p_row: np.ndarray, s_row: np.ndarray) -> tuple[np.nda
     The per-arm test implies the corresponding in-neighborhood inequality for
     every arm, which keeps all acceptance probabilities at most 1.
     """
-    use_p = bool(np.all(p_row >= 0.5 * s_row))
+    use_p = bool((p_row >= 0.5 * s_row).all())
     return (p_row if use_p else s_row), use_p
 
 

@@ -185,6 +185,23 @@ class TestValidation:
         learner = make_learner(cfg, graph, cfg.context_distribution())
         assert learner.eta == 0.0123
 
+    # Validation must reject each of these with a ConfigError: run_replicate
+    # or the auto schedule formulas would otherwise raise on it.
+    @pytest.mark.parametrize("kw", [
+        dict(algo="known", eta_scale=0.0),
+        dict(algo="per_context_exp3g", gamma_ix=-0.1),
+        dict(oracle=OracleSpec(kind="stochastic_gap", base=0.7, gap=0.4)),
+        dict(oracle=OracleSpec(kind="adversarial_shift", low=0.8, high=0.2)),
+        dict(oracle=OracleSpec(kind="auction", value_grid=(0.1, 0.5, 0.9))),
+        dict(oracle=OracleSpec(kind="auction", bid_grid=(0.0, 0.5, 1.0))),
+        *[dict(algo="unknown", horizon=T) for T in (1, 2, 3)],
+        dict(algo="unknown", horizon=1024, tuned_scale=-1.0),
+    ], ids=["eta_scale", "gamma_ix", "gap_means", "shift_bounds", "value_grid", "bid_grid",
+            "auto_T1", "auto_T2", "auto_T3", "tuned_scale"])
+    def test_rejects_what_would_fail_mid_run(self, kw):
+        with pytest.raises(ConfigError):
+            validate_config(small_config(**kw))
+
     def test_graph_must_have_self_loops(self, tmp_path):
         path = tmp_path / "adj.txt"
         path.write_text("1 2\n0 2\n0 1\n")  # loopless complete: strongly observable

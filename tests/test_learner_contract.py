@@ -112,3 +112,55 @@ def test_a_state_replays_identically_across_epoch_ends(algo):
         again = drive(2 * L, np.random.default_rng(3))
         assert first[0] == again[0]
         assert np.array_equal(first[1], again[1]) and np.array_equal(first[2], again[2])
+
+
+@pytest.mark.parametrize("trace_level", ["light", "full"])
+@pytest.mark.parametrize("algo", ["known", "per_context_exp3g", "pooled_exp3g"])
+def test_the_policy_table_is_built_once_per_round(monkeypatch, algo, trace_level):
+    from crossbandit import baselines, known, unknown
+
+    calls = []
+
+    def counted(real):
+        def exp_weights(*args):
+            calls.append(args)
+            return real(*args)
+        return exp_weights
+
+    for module in (known, unknown, baselines):  # each module's own binding
+        monkeypatch.setattr(module, "exp_weights", counted(module.exp_weights))
+    graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
+    config = _config(graph, algo, 3, 8, 1.0, 0, trace_level=trace_level)
+    run_replicate(config, graph, 0)
+    T = config.horizon
+    if algo == "known":  # one (M, K) table per round, shared by act, update and the trace
+        assert len(calls) == T
+    else:  # one row per update, and at most one table when the learner is built
+        assert T <= len(calls) <= T + 1
+
+
+def test_the_known_learners_table_is_read_only():
+    graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
+    config = _config(graph, "known", 2, 2, 1.0, 0)
+    learner = make_learner(config, graph, config.context_distribution())
+    with pytest.raises(ValueError):
+        learner.distributions()[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        learner.act(0, 1, np.random.default_rng(0)).q[0] = 1.0
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_returned_distributions_are_never_written(algo):
+    graph = FeedbackGraph([(0, 1), (1, 2), (0, 2), (3, 0)])
+    config = _config(graph, algo, 3, 6, 1.0, 0)
+    nu = config.context_distribution()
+    rng = np.random.default_rng(4)
+    oracle = TableOracle(rng.random((config.horizon, 3, graph.num_arms)))
+    learner = make_learner(config, graph, nu)
+    returned = []
+    for t in range(config.horizon):
+        play = learner.act(t, sample_context(nu, rng), rng)
+        dists = learner.distributions()
+        returned += [(play.q, play.q.copy()), (dists, dists.copy())]
+        learner.update(reveal(oracle, graph, t, play.arm), rng)
+    assert all(np.array_equal(arr, copy) for arr, copy in returned)

@@ -62,6 +62,20 @@ class TestExpWeights:
         p = exp_weights(totals, eta)
         assert p[np.argmin(totals)] == pytest.approx(p.max())
 
+    # The learners take a context's playing row from one (M, K) table, and
+    # their traces must keep the bits of the row computed on its own.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=300), st.integers(min_value=2, max_value=64),
+           st.sampled_from([1.0, 1e3, 1e8]), st.sampled_from([1e-4, 0.05, 1.0, 20.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_table_rows_have_the_bits_of_single_rows(self, M, K, scale, eta, seed):
+        rng = np.random.default_rng(seed)
+        totals = scale * rng.random((M, K))
+        totals[rng.random((M, K)) < 0.3] = 0.0  # ties and exact zeros, as early in a run
+        table = exp_weights(totals, eta)
+        for c in range(M):
+            assert np.array_equal(table[c], exp_weights(totals[c], eta))
+
 
 class TestTilt:
     def test_zero_deltas_identity(self):
