@@ -46,20 +46,21 @@ _BLOCK_BUDGET = 1 << 16
 
 
 def graph_inverse_bound(weights: np.ndarray, graph: FeedbackGraph,
-                        alpha: int | None = None,
-                        eps: float | None = None) -> tuple[float, float]:
+                        alpha: int | None = None, eps: float | None = None,
+                        in_mass: np.ndarray | None = None) -> tuple[float, float]:
     """(lhs, rhs) of the inverse-neighborhood-mass bound.
 
     lhs = sum_a w(a) / w(N_in(a)) with self-loops putting each arm in its own
     in-neighborhood; rhs = 4 alpha log(4 K / (alpha eps)) where eps lower
-    bounds the weights (defaults to their minimum).
+    bounds the weights (defaults to their minimum). A caller that already
+    holds the masses w(N_in(a)) passes them as ``in_mass``.
     """
     w = np.asarray(weights, dtype=np.float64)
     if alpha is None:
         alpha = graph.alpha
     if eps is None:
         eps = float(w.min())
-    denom = graph.in_mass(w)
+    denom = graph.in_mass(w) if in_mass is None else in_mass
     lhs = float(np.sum(w / denom))
     rhs = 4.0 * alpha * math.log(4.0 * graph.num_arms / (alpha * eps))
     return lhs, rhs

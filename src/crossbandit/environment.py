@@ -39,7 +39,7 @@ class Reveal:
 
     t: int
     played_arm: int
-    arms: np.ndarray  # revealed arm indices, sorted
+    arms: np.ndarray  # revealed arm indices, sorted; read-only, shared across rounds
     losses: np.ndarray  # shape (M, len(arms))
 
 
@@ -119,7 +119,7 @@ def reveal(oracle: LossOracle, graph: FeedbackGraph, t: int, played_arm: int) ->
     """Exactly the cross-learning feedback set for one round."""
     if not 0 <= played_arm < graph.num_arms:
         raise ValueError(f"played arm {played_arm} out of range")
-    arms = np.asarray(graph.out_neighbors[played_arm], dtype=np.int64)
+    arms = graph.out_index[played_arm]
     losses = oracle.loss_slice(t)[:, arms]  # fancy indexing copies
     return Reveal(t=t, played_arm=played_arm, arms=arms, losses=losses)
 
@@ -254,6 +254,19 @@ class AdversarialShiftOracle(LossOracle):
         return self._tables[min(3, t // self._phase_len)]
 
 
+def auction_grid(name: str, grid) -> np.ndarray:
+    """``grid`` as a float64 array, checked to be a nonempty 1-D ascending
+    grid on [0, 1] (an auction's values or bids)."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D array")
+    if (np.diff(grid) < 0).any():
+        raise ValueError(f"{name} must be sorted ascending")
+    if not ((grid >= 0) & (grid <= 1)).all():
+        raise ValueError(f"{name} entries must lie in [0, 1]")
+    return grid
+
+
 class AuctionOracle(_ChunkedOracle):
     """Repeated sealed-bid pricing: context = private value, arm = bid.
 
@@ -267,16 +280,9 @@ class AuctionOracle(_ChunkedOracle):
 
     def __init__(self, value_grid: np.ndarray, bid_grid: np.ndarray,
                  opposing_bids: np.ndarray):
-        value_grid = np.asarray(value_grid, dtype=np.float64)
-        bid_grid = np.asarray(bid_grid, dtype=np.float64)
+        value_grid = auction_grid("value_grid", value_grid)
+        bid_grid = auction_grid("bid_grid", bid_grid)
         opposing_bids = np.asarray(opposing_bids, dtype=np.float64)
-        for name, grid in (("value_grid", value_grid), ("bid_grid", bid_grid)):
-            if grid.ndim != 1 or grid.size == 0:
-                raise ValueError(f"{name} must be a nonempty 1-D array")
-            if (np.diff(grid) < 0).any():
-                raise ValueError(f"{name} must be sorted ascending")
-            if (grid < 0).any() or (grid > 1).any():
-                raise ValueError(f"{name} entries must lie in [0, 1]")
         super().__init__(len(opposing_bids), len(value_grid), len(bid_grid))
         self.value_grid = value_grid
         self.bid_grid = bid_grid

@@ -38,7 +38,8 @@ class FeedbackGraph:
     """Immutable directed graph over ``num_arms`` arms.
 
     ``out_neighbors[a]`` lists the arms revealed by playing ``a`` (sorted,
-    duplicate-free); ``in_neighbors`` is derived. ``alpha`` and
+    duplicate-free), and ``out_index[a]`` holds the same arms as a read-only
+    int64 array; ``in_neighbors`` is derived. ``alpha`` and
     ``strongly_observable`` are computed once and cached. Instances are safe
     to share across threads.
     """
@@ -55,6 +56,9 @@ class FeedbackGraph:
 
         self.num_arms = num_arms
         self.out_neighbors = tuple(rows)
+        self.out_index = tuple(np.array(ns, dtype=np.int64) for ns in rows)
+        for idx in self.out_index:
+            idx.flags.writeable = False
 
         out_mask = np.zeros((num_arms, num_arms), dtype=bool)
         for a, ns in enumerate(rows):

@@ -27,6 +27,7 @@ from .environment import (
     LossOracle,
     StochasticGapOracle,
     TableOracle,
+    auction_grid,
     gap_means,
     load_opposing_bids,
     reveal,
@@ -76,9 +77,11 @@ class OracleSpec:
 
 def _auction_grids(spec: OracleSpec, M: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     """The auction's value grid (one value per context) and bid grid (one bid
-    per arm); evenly spaced on [0, 1] where the spec gives none."""
-    values = np.asarray(spec.value_grid) if spec.value_grid else np.linspace(0.0, 1.0, M)
-    bids = np.asarray(spec.bid_grid) if spec.bid_grid else np.linspace(0.0, 1.0, K)
+    per arm), checked as ``AuctionOracle`` checks them; evenly spaced on
+    [0, 1] where the spec gives none."""
+    values = (auction_grid("value_grid", spec.value_grid) if spec.value_grid
+              else np.linspace(0.0, 1.0, M))
+    bids = auction_grid("bid_grid", spec.bid_grid) if spec.bid_grid else np.linspace(0.0, 1.0, K)
     if len(values) != M or len(bids) != K:
         raise ValueError(f"auction grids have {len(values)} values and {len(bids)} bids, "
                          f"need M={M} and K={K}")
@@ -460,6 +463,10 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
             trace.epochs.append(er)
             if observer is not None:
                 observer.start_epoch(er)
+        if full:
+            # Hashed before act, which leaves every table unchanged: the
+            # epoch learner then plays its row from the table built here.
+            trace.policy_hashes.append(_digest(learner.distributions()))
         c = sample_context(nu, rng)
         a, q, ftrl = learner.act(t, c, rng)
         row = oracle.loss_slice(t)[c]
@@ -470,7 +477,6 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
         trace.expected_inst[t] = q @ row
         if full:
             trace.q_rows[t] = q
-            trace.policy_hashes.append(_digest(learner.distributions()))
         rev = reveal(oracle, graph, t, a)
         pr = learner.update(rev, rng)
         if observer is not None and pr is not None:

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .diagnostics import graph_inverse_bound
 from .environment import Play, Replayable, Reveal
 from .graph import FeedbackGraph
 from .simplex import check_simplex, exp_weights, sample_arm
@@ -105,12 +106,10 @@ class KnownDistLearner(Replayable):
             self._check_inverse_bound(dists, w)
 
     def _check_inverse_bound(self, dists: np.ndarray, w: np.ndarray) -> None:
-        """Inverse-importance mass stays within the independence-number bound."""
-        p_bar = self.nu @ dists
-        lhs = float(np.sum(p_bar / w))
-        alpha = self.graph.alpha
-        eps = float(w.min())
-        rhs = 4.0 * alpha * math.log(4.0 * self.num_arms / (alpha * eps))
+        """Inverse-importance mass stays within the independence-number bound;
+        ``w`` is the in-neighborhood mass of the context-average of ``dists``."""
+        lhs, rhs = graph_inverse_bound(self.nu @ dists, self.graph,
+                                       eps=float(w.min()), in_mass=w)
         if lhs > rhs:
             raise InvariantViolation(
                 f"round {self.t}: inverse-importance sum {lhs:.4f} exceeds "

@@ -176,8 +176,12 @@ class EpochLearner(Replayable):
     """Algorithm state for the unknown-distribution setting.
 
     Snapshots are stored as frozen probability tables, never recomputed from
-    mutable state, so a fixed snapshot can never drift. Single-threaded per
-    instance.
+    mutable state, so a fixed snapshot can never drift. A pair builds only
+    the FTRL rows it plays, one per round: ``cum`` does not change between a
+    pair's two rounds, and a row of ``exp_weights(cum)`` has the bits of
+    ``exp_weights(cum[c])``. The full (M, K) table is built only when
+    ``distributions()`` asks for it, and then shared with ``act`` until the
+    pair finishes. Single-threaded per instance.
     """
 
     # Mutated in place; every other field is rebound (``end_epoch`` makes
@@ -198,9 +202,10 @@ class EpochLearner(Replayable):
 
         M, K = self.num_contexts, self.num_arms
         uniform = np.full((M, K), 1.0 / K)
+        uniform.flags.writeable = False  # snapshots are read-only and only rebound
         self.cum = np.zeros((M, K))
-        self.s_cur = uniform.copy()      # snapshot of the running epoch
-        self.s_next = uniform.copy()     # snapshot already fixed for the next epoch
+        self.s_cur = uniform             # snapshot of the running epoch
+        self.s_next = uniform            # snapshot already fixed for the next epoch
         self._s_cur_in = graph.in_mass_rows(self.s_cur)
         self._s_next_in = graph.in_mass_rows(self.s_next)
         self.w_hat = np.zeros(K)         # importance estimate applied this epoch
@@ -209,20 +214,25 @@ class EpochLearner(Replayable):
         self.epoch = 1
         self.pos = 0                     # rounds consumed within the epoch
         self.t = 0                       # rounds completed overall
-        self._p_pair: np.ndarray | None = None
-        self._p_pair_in: np.ndarray | None = None
-        self._pending: list[tuple[int, int, bool, Reveal | None]] = []
+        self._dists: np.ndarray | None = None  # exp_weights(cum), built on demand
+        # (context, arm, ftrl, played row, reveal) of the pair's rounds so far
+        self._pending: list[tuple[int, int, bool, np.ndarray, Reveal | None]] = []
 
     @property
     def epoch_len(self) -> int:
         return self.params.epoch_len
 
     def distributions(self) -> np.ndarray:
-        """The policy table rounds are currently played from: the pair's FTRL
-        table once one exists, the running snapshot before that."""
-        if self.epoch > 1 and self._p_pair is not None:
-            return self._p_pair
-        return self.s_cur
+        """The policy table rounds are currently played from, read-only: the
+        running snapshot in epoch 1, afterwards the FTRL table
+        ``exp_weights(cum)``, built on first request and kept until the pair
+        finishes or the epoch ends."""
+        if self.epoch == 1:
+            return self.s_cur
+        if self._dists is None:
+            self._dists = exp_weights(self.cum, self.params.eta)
+            self._dists.flags.writeable = False
+        return self._dists
 
     def act(self, t: int, context: int, rng: np.random.Generator) -> Play:
         if t != self.t:
@@ -233,22 +243,20 @@ class EpochLearner(Replayable):
             q = self.s_cur[context]
             branch_p = False
         else:
-            if self.pos % 2 == 0:
-                # First member of a pair: freeze the FTRL table for both rounds.
-                self._p_pair = exp_weights(self.cum, self.params.eta)
-                self._p_pair_in = self.graph.in_mass_rows(self._p_pair)
-            q, branch_p = rejection_distribution(self._p_pair[context], self.s_cur[context])
+            p = (self._dists[context] if self._dists is not None
+                 else exp_weights(self.cum[context], self.params.eta))
+            q, branch_p = rejection_distribution(p, self.s_cur[context])
         arm = sample_arm(q, rng)
-        self._pending.append((context, arm, branch_p, None))
+        self._pending.append((context, arm, branch_p, q, None))
         return Play(arm, q, branch_p)
 
     def update(self, rev: Reveal, rng: np.random.Generator) -> PairRecord | None:
-        if not self._pending or self._pending[-1][3] is not None:
+        if not self._pending or self._pending[-1][4] is not None:
             raise RuntimeError("update without a matching act")
-        context, arm, branch_p, _ = self._pending[-1]
+        context, arm, branch_p, q, _ = self._pending[-1]
         if rev.played_arm != arm:
             raise ValueError("reveal does not match the played arm")
-        self._pending[-1] = (context, arm, branch_p, rev)
+        self._pending[-1] = (context, arm, branch_p, q, rev)
 
         pair = None
         if self.epoch == 1:
@@ -267,24 +275,20 @@ class EpochLearner(Replayable):
         return pair
 
     def _finalize_pair(self, rng: np.random.Generator) -> PairRecord:
-        (c1, a1, b1, rev1), (c2, a2, b2, rev2) = self._pending
+        first, second = self._pending
         self._pending.clear()
+        self._dists = None  # the pair's table, if any, goes with it
         L, gamma = self.epoch_len, self.params.gamma
 
         # Uniform pairing: one member estimates frequency, the other losses.
         first_is_freq = rng.random() < 0.5
-        if first_is_freq:
-            cf = c1
-            cl, al, bl, revl = c2, a2, b2, rev2
-            loss_offset = 1
-        else:
-            cf = c2
-            cl, al, bl, revl = c1, a1, b1, rev1
-            loss_offset = 0
+        freq, loss = (first, second) if first_is_freq else (second, first)
+        loss_offset = 1 if first_is_freq else 0
+        cl, al, bl, ql, revl = loss
 
-        self.w_hat_acc += self._s_next_in[cf] / (2.0 * (L // 2))
+        self.w_hat_acc += self._s_next_in[freq[0]] / (2.0 * (L // 2))
 
-        q_in = self._p_pair_in[cl] if bl else self._s_cur_in[cl]
+        q_in = self.graph.in_mass(ql) if bl else self._s_cur_in[cl]
         S = rng.random(self.num_arms) < accept_probability(self._s_cur_in[cl], q_in)
         used = self.graph.out_mask[al] & S
         if used.any():
@@ -307,10 +311,10 @@ class EpochLearner(Replayable):
         self.s_cur = self.s_next
         self._s_cur_in = self._s_next_in
         self.s_next = exp_weights(self.cum, self.params.eta)
+        self.s_next.flags.writeable = False
         self._s_next_in = self.graph.in_mass_rows(self.s_next)
         self.w_hat = self.w_hat_acc
         self.w_hat_acc = np.zeros(self.num_arms)
         self.epoch += 1
         self.pos = 0
-        self._p_pair = None
-        self._p_pair_in = None
+        self._dists = None

@@ -210,3 +210,7 @@ def test_pickled_graph_keeps_rows_alpha_and_read_only_masks():
     assert copy.out_neighbors == g.out_neighbors and copy.alpha == g.alpha
     assert np.array_equal(copy.in_mask, g.in_mask)
     assert not copy.out_mask.flags.writeable and not copy.in_mask.flags.writeable
+    for graph in (g, copy):
+        assert [idx.tolist() for idx in graph.out_index] == [list(ns) for ns in g.out_neighbors]
+        assert all(idx.dtype == np.int64 and not idx.flags.writeable
+                   for idx in graph.out_index)

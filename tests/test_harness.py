@@ -194,10 +194,15 @@ class TestValidation:
         dict(oracle=OracleSpec(kind="adversarial_shift", low=0.8, high=0.2)),
         dict(oracle=OracleSpec(kind="auction", value_grid=(0.1, 0.5, 0.9))),
         dict(oracle=OracleSpec(kind="auction", bid_grid=(0.0, 0.5, 1.0))),
+        dict(oracle=OracleSpec(kind="auction", value_grid=(0.5, 0.2, 0.3, 0.9))),
+        dict(oracle=OracleSpec(kind="auction", value_grid=(0.1, 0.5, 0.9, 1.5))),
+        dict(oracle=OracleSpec(kind="auction", bid_grid=(0.9, 0.6, 0.3, 0.0))),
+        dict(oracle=OracleSpec(kind="auction", bid_grid=(-0.1, 0.3, 0.6, 0.9))),
         *[dict(algo="unknown", horizon=T) for T in (1, 2, 3)],
         dict(algo="unknown", horizon=1024, tuned_scale=-1.0),
     ], ids=["eta_scale", "gamma_ix", "gap_means", "shift_bounds", "value_grid", "bid_grid",
-            "auto_T1", "auto_T2", "auto_T3", "tuned_scale"])
+            "value_grid_unsorted", "value_grid_above_1", "bid_grid_descending",
+            "bid_grid_negative", "auto_T1", "auto_T2", "auto_T3", "tuned_scale"])
     def test_rejects_what_would_fail_mid_run(self, kw):
         with pytest.raises(ConfigError):
             validate_config(small_config(**kw))

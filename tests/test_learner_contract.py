@@ -115,7 +115,7 @@ def test_a_state_replays_identically_across_epoch_ends(algo):
 
 
 @pytest.mark.parametrize("trace_level", ["light", "full"])
-@pytest.mark.parametrize("algo", ["known", "per_context_exp3g", "pooled_exp3g"])
+@pytest.mark.parametrize("algo", ["known", "unknown", "per_context_exp3g", "pooled_exp3g"])
 def test_the_policy_table_is_built_once_per_round(monkeypatch, algo, trace_level):
     from crossbandit import baselines, known, unknown
 
@@ -135,6 +135,14 @@ def test_the_policy_table_is_built_once_per_round(monkeypatch, algo, trace_level
     T = config.horizon
     if algo == "known":  # one (M, K) table per round, shared by act, update and the trace
         assert len(calls) == T
+    elif algo == "unknown":
+        rows = sum(totals.ndim == 1 for totals, _ in calls)
+        tables = sum(totals.ndim == 2 for totals, _ in calls)
+        assert rows + tables == len(calls)
+        if trace_level == "light":  # one row per FTRL round, one snapshot per epoch end
+            assert (rows, tables) == (T - L, T // L)
+        else:  # the traced table per pair serves both rounds' rows
+            assert (rows, tables) == (0, (T - L) // 2 + T // L)
     else:  # one row per update, and at most one table when the learner is built
         assert T <= len(calls) <= T + 1
 
@@ -147,6 +155,22 @@ def test_the_known_learners_table_is_read_only():
         learner.distributions()[0, 0] = 1.0
     with pytest.raises(ValueError):
         learner.act(0, 1, np.random.default_rng(0)).q[0] = 1.0
+
+
+def test_the_epoch_learners_table_is_read_only():
+    graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
+    config = _config(graph, "unknown", 2, 3, 1.0, 0)
+    learner = make_learner(config, graph, config.context_distribution())
+    oracle = TableOracle(np.random.default_rng(1).random((config.horizon, 2, 3)))
+    rng = np.random.default_rng(2)
+    for t in range(L + 1):  # into the first FTRL pair
+        with pytest.raises(ValueError):
+            learner.distributions()[0, 0] = 1.0
+        play = learner.act(t, t % 2, rng)
+        learner.update(reveal(oracle, graph, t, play.arm), rng)
+    assert learner.epoch == 2
+    with pytest.raises(ValueError):
+        learner.distributions()[1, 2] = 0.0
 
 
 @pytest.mark.parametrize("algo", ALGOS)

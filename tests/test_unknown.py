@@ -5,8 +5,10 @@ import pytest
 
 from crossbandit.environment import StochasticGapOracle, TableOracle, gap_means, reveal, sample_context
 from crossbandit.graph import FeedbackGraph, GraphSpec, build_graph
+from crossbandit.simplex import exp_weights
 from crossbandit.unknown import (
     EpochLearner,
+    PairRecord,
     ParamSchedule,
     accept_probability,
     even_divisors,
@@ -350,3 +352,78 @@ class TestGuards:
         graph = FeedbackGraph([(1, 2), (0, 2), (0, 1)])
         with pytest.raises(ValueError, match="self-loop"):
             EpochLearner(graph, 4, ParamSchedule(iota=6.0, epoch_len=32, gamma=0.1, eta=0.01))
+
+
+class PairTableLearner(EpochLearner):
+    """Reference: the learner as it was before it built single rows. Each pair
+    builds the whole (M, K) FTRL table and its (M, K) in-mass table, plays the
+    drawn contexts' rows of the first, and thins the loss round with a row of
+    the second."""
+
+    def act(self, t, context, rng):
+        if self.epoch > 1 and self.pos % 2 == 0:
+            self._dists = exp_weights(self.cum, self.params.eta)
+            self._pair_in = self.graph.in_mass_rows(self._dists)
+        return super().act(t, context, rng)
+
+    def _finalize_pair(self, rng):
+        (c1, a1, b1, _, rev1), (c2, a2, b2, _, rev2) = self._pending
+        self._pending.clear()
+        self._dists = None
+        L, gamma = self.epoch_len, self.params.gamma
+        first_is_freq = rng.random() < 0.5
+        if first_is_freq:
+            cf, cl, al, bl, revl, loss_offset = c1, c2, a2, b2, rev2, 1
+        else:
+            cf, cl, al, bl, revl, loss_offset = c2, c1, a1, b1, rev1, 0
+        self.w_hat_acc += self._s_next_in[cf] / (2.0 * (L // 2))
+        q_in = self._pair_in[cl] if bl else self._s_cur_in[cl]
+        S = rng.random(self.num_arms) < accept_probability(self._s_cur_in[cl], q_in)
+        used = self.graph.out_mask[al] & S
+        used_cols = used[revl.arms]
+        arms_used = revl.arms[used_cols]
+        losses = revl.losses[:, used_cols]
+        if used.any():
+            self.cum[:, arms_used] += 2.0 * losses / (self.w_hat[arms_used] + 1.5 * gamma)
+        return PairRecord(t_first=self.t - 1, loss_offset=loss_offset, used=used,
+                          losses=losses)
+
+
+def _run_with(monkeypatch, config, graph, learner_cls):
+    """run_replicate with the epoch learner built as ``learner_cls``; returns
+    the trace and the learner."""
+    from crossbandit import harness
+
+    built = []
+
+    def make_learner(cfg, g, nu):
+        built.append(learner_cls(g, cfg.num_contexts, harness.resolve_schedule(cfg, g)))
+        return built[0]
+
+    monkeypatch.setattr(harness, "make_learner", make_learner)
+    return harness.run_replicate(config, graph, 0), built[0]
+
+
+@pytest.mark.parametrize("seed", [3, 17, 101])
+@pytest.mark.parametrize("setup", ["cliques", "er"])
+def test_single_rows_replay_the_per_pair_tables_bit_for_bit(monkeypatch, setup, seed):
+    from crossbandit.harness import OracleSpec, RunConfig
+
+    if setup == "cliques":
+        spec, M, T = GraphSpec.parse("cliques:4x4"), 8, 2048
+        s = tuned_schedule(16, T, 4)
+        params = dict(param_mode="manual", epoch_len=s.epoch_len, eta=s.eta, gamma=s.gamma,
+                      iota=s.iota)
+    else:
+        spec, M, T = GraphSpec.parse("er:48:0.1"), 256, 2048
+        params = dict(param_mode="auto", tuned_scale=0.02)
+    graph = build_graph(spec, rng_seed=0)
+    config = RunConfig(graph=spec, oracle=OracleSpec(kind="stochastic_gap"), num_contexts=M,
+                       horizon=T, algo="unknown", seed=seed, diagnostics=True, **params)
+    ref, ref_learner = _run_with(monkeypatch, config, graph, PairTableLearner)
+    new, new_learner = _run_with(monkeypatch, config, graph, EpochLearner)
+    assert len(new.epochs) >= 4 and not new.p_branch.all() and new.p_branch[T // 2:].any()
+    for name in ("arms", "p_branch", "used_mask"):
+        assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert [er.w_hat.tobytes() for er in new.epochs] == [er.w_hat.tobytes() for er in ref.epochs]
+    assert new_learner.cum.tobytes() == ref_learner.cum.tobytes()
