@@ -24,7 +24,7 @@ from .graph import (
     build_graph,
     independence_number_bruteforce,
 )
-from .harness import OracleSpec, RunConfig, fit_scaling, resolve_schedule, run
+from .harness import OracleSpec, RunConfig, fit_scaling, run, run_plan, validate_config
 from .known import KnownDistLearner
 from .unknown import EpochLearner, ParamSchedule, tuned_schedule
 
@@ -250,8 +250,8 @@ def check_rejection_inactivity(replicates: int = 20, seed: int = 15) -> CheckRes
         num_contexts=8, horizon=2 ** 14, algo="unknown", seed=seed,
         replicates=replicates, param_mode="auto", tuned_scale=0.02,
     )
-    result = run(config)
-    L = resolve_schedule(config, result.graph).epoch_len
+    plan = validate_config(config)
+    result, L = run_plan(plan), plan.schedule.epoch_len
     fracs = [float((~tr.p_branch[L:]).mean()) for tr in result.traces]
     mean_frac = float(np.mean(fracs))
     return _timed("05 rejection-inactivity", mean_frac <= 0.05,

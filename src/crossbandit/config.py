@@ -1,8 +1,10 @@
 """Experiment config files: one human-editable INI per experiment.
 
 Sections are flat key-value tables; unknown sections or keys are rejected
-with their full path so typos never silently change an experiment. Seeds are
-mandatory. Example:
+with their full path so typos never silently change an experiment. Each key sets
+one ``RunConfig`` or ``OracleSpec`` field (``_KEYS``); every default lives in
+those dataclasses, and a field without one is a required key, as the seed is.
+Example:
 
     [run]
     algo = unknown
@@ -34,46 +36,54 @@ mandatory. Example:
 from __future__ import annotations
 
 import configparser
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .graph import GraphSpec
 from .harness import ConfigError, OracleSpec, RunConfig, validate_config
 
-_SECTION_KEYS = {
-    "run": {"algo", "horizon", "seed", "replicates"},
-    "graph": {"spec"},
-    "env": {"contexts", "nu", "oracle", "base", "gap", "best_stride", "low",
-            "high", "table", "value_grid", "bid_grid", "bids_file"},
-    "params": {"mode", "tuned_scale", "eta", "gamma", "epoch_len", "iota",
-               "eta_scale", "gamma_ix"},
-    "output": {"dir", "trace", "diagnostics"},
-}
-_REQUIRED = (("run", "algo"), ("run", "horizon"), ("run", "seed"),
-             ("graph", "spec"), ("env", "contexts"), ("env", "oracle"))
-
-
-def _get(parser: configparser.ConfigParser, section: str, key: str,
-         cast, default=None):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
-
 
 def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(x) for x in raw.split(","))
+
+
+# (section, key) -> (dataclass, field, parser), in the order missing keys are reported.
+_KEYS = {
+    ("run", "algo"): (RunConfig, "algo", str),
+    ("run", "horizon"): (RunConfig, "horizon", int),
+    ("run", "seed"): (RunConfig, "seed", int),
+    ("run", "replicates"): (RunConfig, "replicates", int),
+    ("graph", "spec"): (RunConfig, "graph", GraphSpec.parse),
+    ("env", "contexts"): (RunConfig, "num_contexts", int),
+    ("env", "nu"): (RunConfig, "nu", lambda v: None if v.lower() == "uniform" else _floats(v)),
+    ("env", "oracle"): (OracleSpec, "kind", str),
+    ("env", "base"): (OracleSpec, "base", float),
+    ("env", "gap"): (OracleSpec, "gap", float),
+    ("env", "best_stride"): (OracleSpec, "best_stride", int),
+    ("env", "low"): (OracleSpec, "low", float),
+    ("env", "high"): (OracleSpec, "high", float),
+    ("env", "table"): (OracleSpec, "table_path", str),
+    ("env", "value_grid"): (OracleSpec, "value_grid", _floats),
+    ("env", "bid_grid"): (OracleSpec, "bid_grid", _floats),
+    ("env", "bids_file"): (OracleSpec, "bids_path", str),
+    ("params", "mode"): (RunConfig, "param_mode", str),
+    ("params", "tuned_scale"): (RunConfig, "tuned_scale", float),
+    ("params", "eta"): (RunConfig, "eta", float),
+    ("params", "gamma"): (RunConfig, "gamma", float),
+    ("params", "epoch_len"): (RunConfig, "epoch_len", int),
+    ("params", "iota"): (RunConfig, "iota", float),
+    ("params", "eta_scale"): (RunConfig, "eta_scale", float),
+    ("params", "gamma_ix"): (RunConfig, "gamma_ix", float),
+    ("output", "dir"): (RunConfig, "output_dir", str),
+    ("output", "trace"): (RunConfig, "trace_level", str),
+    ("output", "diagnostics"): (RunConfig, "diagnostics", _bool),
+}
+_REQUIRED = {(cls, f.name) for cls in (RunConfig, OracleSpec) for f in fields(cls)
+             if f.default is MISSING}
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -87,56 +97,23 @@ def parse_config(path: str | Path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
+    values = {RunConfig: {}, OracleSpec: {}}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in {s for s, _ in _KEYS}:
             raise ConfigError(f"unknown section [{section}] in {path}")
         for key in parser.options(section):
-            if key not in _SECTION_KEYS[section]:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key {section}.{key} in {path}")
-    for section, key in _REQUIRED:
-        if not parser.has_option(section, key):
+            cls, name, cast = _KEYS[section, key]
+            raw = parser.get(section, key)
+            try:
+                values[cls][name] = cast(raw)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
+    for (section, key), (cls, name, _) in _KEYS.items():
+        if (cls, name) in _REQUIRED and not parser.has_option(section, key):
             raise ConfigError(f"missing required key {section}.{key} in {path}"
                               + (" (seeds are mandatory)" if key == "seed" else ""))
-
-    graph_spec = GraphSpec.parse(parser.get("graph", "spec"))
-
-    oracle_kind = parser.get("env", "oracle").strip()
-    oracle = OracleSpec(
-        kind=oracle_kind,
-        base=_get(parser, "env", "base", float, 0.4),
-        gap=_get(parser, "env", "gap", float, 0.2),
-        best_stride=_get(parser, "env", "best_stride", int, 5),
-        low=_get(parser, "env", "low", float, 0.2),
-        high=_get(parser, "env", "high", float, 0.8),
-        table_path=_get(parser, "env", "table", str),
-        value_grid=_get(parser, "env", "value_grid", _floats),
-        bid_grid=_get(parser, "env", "bid_grid", _floats),
-        bids_path=_get(parser, "env", "bids_file", str),
-    )
-
-    nu_raw = _get(parser, "env", "nu", str, "uniform")
-    nu = None if nu_raw.strip().lower() == "uniform" else _floats(nu_raw)
-
-    config = RunConfig(
-        graph=graph_spec,
-        oracle=oracle,
-        num_contexts=_get(parser, "env", "contexts", int),
-        horizon=_get(parser, "run", "horizon", int),
-        algo=parser.get("run", "algo").strip(),
-        seed=_get(parser, "run", "seed", int),
-        nu=nu,
-        replicates=_get(parser, "run", "replicates", int, 1),
-        param_mode=_get(parser, "params", "mode", str, "auto"),
-        tuned_scale=_get(parser, "params", "tuned_scale", float, 1.0),
-        eta=_get(parser, "params", "eta", float),
-        gamma=_get(parser, "params", "gamma", float),
-        epoch_len=_get(parser, "params", "epoch_len", int),
-        iota=_get(parser, "params", "iota", float),
-        eta_scale=_get(parser, "params", "eta_scale", float, 1.0),
-        gamma_ix=_get(parser, "params", "gamma_ix", float),
-        trace_level=_get(parser, "output", "trace", str, "light"),
-        diagnostics=_get(parser, "output", "diagnostics", _bool, False),
-        output_dir=_get(parser, "output", "dir", str),
-    )
+    config = RunConfig(oracle=OracleSpec(**values[OracleSpec]), **values[RunConfig])
     validate_config(config)
     return config

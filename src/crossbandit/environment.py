@@ -114,6 +114,11 @@ class LossOracle:
             raise ValueError(f"arm {a} out of range [0, {self.num_arms})")
         return float(self.loss_slice(t)[c, a])
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays are writeable: a copy's tables are made read-only again.
+        vars(self).update({k: _read_only(v) if isinstance(v, np.ndarray) else v
+                           for k, v in state.items()})
+
 
 def reveal(oracle: LossOracle, graph: FeedbackGraph, t: int, played_arm: int) -> Reveal:
     """Exactly the cross-learning feedback set for one round."""
@@ -139,7 +144,7 @@ class TableOracle(LossOracle):
         tensor = np.asarray(tensor, dtype=np.float64)
         if tensor.ndim != 3:
             raise ValueError(f"expected a (T, M, K) tensor, got shape {tensor.shape}")
-        if tensor.size and ((tensor < 0).any() or (tensor > 1).any()):
+        if not ((tensor >= 0) & (tensor <= 1)).all():
             raise ValueError("losses must lie in [0, 1]")
         self._tensor = _read_only(tensor)
         self.num_rounds, self.num_contexts, self.num_arms = tensor.shape
@@ -157,20 +162,19 @@ class TableOracle(LossOracle):
         must be fully covered."""
         rows = []
         with open(path, newline="") as fh:
-            for rec in csv.reader(fh):
-                if not rec or not rec[0].strip():
+            for line, rec in enumerate(csv.reader(fh), 1):
+                if not rec or not rec[0].strip() or rec[0].strip().lower() == "t":
                     continue
-                if rec[0].strip().lower() == "t":
-                    continue
-                rows.append((int(rec[0]), int(rec[1]), int(rec[2]), float(rec[3])))
+                row = tuple(map(int, rec[:3])) + tuple(map(float, rec[3:4]))
+                if len(row) < 4 or min(row[:3]) < 0:
+                    raise ValueError(f"loss table {path} line {line}: need t,c,a >= 0 "
+                                     f"and a loss, got {rec!r}")
+                rows.append(row)
         if not rows:
             raise ValueError(f"loss table {path} is empty")
-        T = max(r[0] for r in rows) + 1
-        M = max(r[1] for r in rows) + 1
-        K = max(r[2] for r in rows) + 1
-        tensor = np.full((T, M, K), np.nan)
-        for t, c, a, v in rows:
-            tensor[t, c, a] = v
+        cells = np.array([r[:3] for r in rows]).T
+        tensor = np.full(tuple(cells.max(axis=1) + 1), np.nan)
+        tensor[tuple(cells)] = [r[3] for r in rows]
         if np.isnan(tensor).any():
             raise ValueError(f"loss table {path} does not cover every (t, c, a)")
         return cls(tensor)
@@ -188,6 +192,9 @@ class _ChunkedOracle(LossOracle):
 
     def _make_chunk(self, j: int) -> np.ndarray:
         raise NotImplementedError
+
+    def __getstate__(self):
+        return {**vars(self), "_cache": {}}  # a copy rebuilds its chunk
 
     def loss_slice(self, t: int) -> np.ndarray:
         j = t // self._chunk_len
@@ -304,16 +311,21 @@ def uniform_opposing_bids(num_rounds: int, seed: int) -> np.ndarray:
 
 
 def load_opposing_bids(path: str | Path) -> np.ndarray:
-    """One opposing bid per CSV line (header optional)."""
-    vals = []
+    """One finite opposing bid per CSV line. Only the first nonblank line may
+    be a header; any other line that is not a finite number is an error."""
     with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec or not rec[0].strip():
-                continue
-            try:
-                vals.append(float(rec[0]))
-            except ValueError:
+        lines = [(n, rec[0]) for n, rec in enumerate(csv.reader(fh), 1) if rec and rec[0].strip()]
+    vals = []
+    for i, (line, text) in enumerate(lines):
+        try:
+            vals.append(float(text))
+        except ValueError:
+            if i == 0:
                 continue  # header
+            raise ValueError(f"opposing-bid file {path} line {line}: "
+                             f"cannot parse {text!r}") from None
+        if not np.isfinite(vals[-1]):
+            raise ValueError(f"opposing-bid file {path} line {line}: bid {text!r} is not finite")
     if not vals:
         raise ValueError(f"opposing-bid file {path} is empty")
     return np.asarray(vals, dtype=np.float64)

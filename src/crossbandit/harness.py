@@ -4,7 +4,9 @@ The harness owns everything the learners must not see: the context
 distribution used for exact diagnostics, the loss rows of the drawn contexts
 that fix the hindsight comparator, and all seeding. Every run is a
 deterministic function of (config, seed): replicate streams are split off the
-master seed, so results do not depend on scheduling.
+master seed, so results do not depend on scheduling. ``validate_config`` does
+every check and file read once and returns a ``RunPlan``; replicates run from
+the plan and derive nothing again.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -75,45 +78,6 @@ class OracleSpec:
             raise ValueError("table oracle needs table_path")
 
 
-def _auction_grids(spec: OracleSpec, M: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The auction's value grid (one value per context) and bid grid (one bid
-    per arm), checked as ``AuctionOracle`` checks them; evenly spaced on
-    [0, 1] where the spec gives none."""
-    values = (auction_grid("value_grid", spec.value_grid) if spec.value_grid
-              else np.linspace(0.0, 1.0, M))
-    bids = auction_grid("bid_grid", spec.bid_grid) if spec.bid_grid else np.linspace(0.0, 1.0, K)
-    if len(values) != M or len(bids) != K:
-        raise ValueError(f"auction grids have {len(values)} values and {len(bids)} bids, "
-                         f"need M={M} and K={K}")
-    return values, bids
-
-
-def build_loss_oracle(spec: OracleSpec, T: int, M: int, K: int, seed: int) -> LossOracle:
-    if spec.kind == "stochastic_gap":
-        means = gap_means(M, K, base=spec.base, gap=spec.gap, best_stride=spec.best_stride)
-        return StochasticGapOracle(means, num_rounds=T, seed=seed)
-    if spec.kind == "adversarial_shift":
-        return AdversarialShiftOracle(T, M, K, low=spec.low, high=spec.high)
-    if spec.kind == "auction":
-        values, bids = _auction_grids(spec, M, K)
-        opposing = (load_opposing_bids(spec.bids_path) if spec.bids_path
-                    else uniform_opposing_bids(T, seed))
-        if len(opposing) < T:
-            raise ValueError(f"opposing-bid sequence has {len(opposing)} rounds, need {T}")
-        return AuctionOracle(values, bids, opposing)
-    if spec.kind == "table":
-        path = Path(spec.table_path)
-        oracle = (TableOracle.from_npy(path) if path.suffix == ".npy"
-                  else TableOracle.from_csv(path))
-        if oracle.num_rounds < T or oracle.num_contexts != M or oracle.num_arms != K:
-            raise ValueError(
-                f"loss table shape ({oracle.num_rounds}, {oracle.num_contexts}, "
-                f"{oracle.num_arms}) incompatible with T={T}, M={M}, K={K}"
-            )
-        return oracle
-    raise ValueError(f"unhandled oracle kind {spec.kind!r}")
-
-
 @dataclass
 class RunConfig:
     """Complete description of one experiment; seeds are mandatory."""
@@ -140,14 +104,6 @@ class RunConfig:
     diagnostics: bool = False
     output_dir: str | None = None
 
-    def context_distribution(self) -> np.ndarray:
-        if self.nu is None:
-            return np.full(self.num_contexts, 1.0 / self.num_contexts)
-        nu = check_simplex(np.asarray(self.nu, dtype=np.float64))
-        if len(nu) != self.num_contexts:
-            raise ValueError(f"nu has {len(nu)} entries, expected {self.num_contexts}")
-        return nu
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -157,41 +113,77 @@ def resolve_schedule(config: RunConfig, graph: FeedbackGraph) -> ParamSchedule:
     """Epoch-learner parameters from the config and its built graph, validated
     against the horizon."""
     T, K = config.horizon, graph.num_arms
-    if config.param_mode == "auto":
-        try:
+    if config.param_mode == "manual" and None in (config.epoch_len, config.eta, config.gamma):
+        raise ConfigError("manual mode needs epoch_len, eta and gamma")
+    try:
+        if config.param_mode == "auto":
             return schedule_params(K, T, graph.alpha,
                                    tuned_scale=config.tuned_scale, fit_horizon=True)
-        except ValueError as exc:
-            raise ConfigError(f"auto schedule: {exc}") from exc
-    if config.epoch_len is None or config.eta is None or config.gamma is None:
-        raise ConfigError("manual mode needs epoch_len, eta and gamma")
-    L = int(config.epoch_len)
+        iota = config.iota if config.iota is not None else 2.0 * math.log(8.0 * K * T * T)
+        schedule = ParamSchedule(iota=float(iota), epoch_len=int(config.epoch_len),
+                                 gamma=float(config.gamma), eta=float(config.eta),
+                                 tuned_scale=config.tuned_scale)
+    except ValueError as exc:
+        raise ConfigError(f"{config.param_mode} schedule: {exc}") from exc
+    L = schedule.epoch_len
     if T % L != 0 or T // L < 2:
         raise ConfigError(
             f"horizon {T} is not a multiple (>= 2) of epoch_len {L}; "
             f"nearest compatible horizon is {nearest_compatible_horizon(T, L)}"
         )
-    iota = config.iota if config.iota is not None else 2.0 * math.log(8.0 * K * T * T)
-    return ParamSchedule(iota=float(iota), epoch_len=L, gamma=float(config.gamma),
-                         eta=float(config.eta), tuned_scale=config.tuned_scale)
+    return schedule
 
 
-def _check_oracle_params(spec: OracleSpec, M: int, K: int) -> None:
-    """Reject the oracle parameters that ``build_loss_oracle`` would refuse
-    inside a run. Table files are read only by the run."""
-    try:
-        if spec.kind == "stochastic_gap":
-            gap_means(M, K, base=spec.base, gap=spec.gap, best_stride=spec.best_stride)
-        elif spec.kind == "adversarial_shift" and not 0 <= spec.low <= spec.high <= 1:
-            raise ValueError("need 0 <= low <= high <= 1")
-        elif spec.kind == "auction":
-            _auction_grids(spec, M, K)
-    except ValueError as exc:
-        raise ConfigError(f"{spec.kind} oracle: {exc}") from exc
+def _shared(oracle: LossOracle, seed: int) -> LossOracle:
+    return oracle
 
 
-def validate_config(config: RunConfig) -> FeedbackGraph:
-    """Build the graph and fail fast on anything inconsistent."""
+def _uniform_bid_auction(values, bids, num_rounds: int, seed: int) -> AuctionOracle:
+    return AuctionOracle(values, bids, uniform_opposing_bids(num_rounds, seed))
+
+
+def oracle_source(spec: OracleSpec, T: int, M: int, K: int) -> partial:
+    """Check the adversary against the run's shape and read its files. Returns
+    the picklable map from a replicate's oracle seed to its oracle; oracles
+    that ignore the seed are built here once and shared read-only."""
+    if spec.kind == "stochastic_gap":
+        means = gap_means(M, K, base=spec.base, gap=spec.gap, best_stride=spec.best_stride)
+        return partial(StochasticGapOracle, means, T)
+    if spec.kind == "adversarial_shift":
+        return partial(_shared, AdversarialShiftOracle(T, M, K, low=spec.low, high=spec.high))
+    if spec.kind == "auction":
+        values = auction_grid("value_grid", spec.value_grid or np.linspace(0.0, 1.0, M))
+        bids = auction_grid("bid_grid", spec.bid_grid or np.linspace(0.0, 1.0, K))
+        if len(values) != M or len(bids) != K:
+            raise ValueError(f"auction grids have {len(values)} values and {len(bids)} bids, "
+                             f"need M={M} and K={K}")
+        if not spec.bids_path:
+            return partial(_uniform_bid_auction, values, bids, T)
+        opposing = load_opposing_bids(spec.bids_path)
+        if len(opposing) < T:
+            raise ValueError(f"opposing-bid sequence has {len(opposing)} rounds, need {T}")
+        return partial(_shared, AuctionOracle(values, bids, opposing))
+    load = TableOracle.from_npy if spec.table_path.endswith(".npy") else TableOracle.from_csv
+    oracle = load(spec.table_path)
+    if oracle.num_rounds < T or oracle.num_contexts != M or oracle.num_arms != K:
+        raise ValueError(f"loss table shape ({oracle.num_rounds}, {oracle.num_contexts}, "
+                         f"{oracle.num_arms}) incompatible with T={T}, M={M}, K={K}")
+    return partial(_shared, oracle)
+
+
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """A validated, picklable run; ``schedule`` is None unless an epoch learner runs."""
+
+    config: RunConfig
+    graph: FeedbackGraph
+    nu: np.ndarray
+    schedule: ParamSchedule | None
+    oracle: partial  # oracle seed -> LossOracle
+
+
+def validate_config(config: RunConfig) -> RunPlan:
+    """Fail fast on anything inconsistent, or return the run's plan."""
     if config.algo not in ALGOS:
         raise ConfigError(f"unknown algo {config.algo!r}; expected one of {ALGOS}")
     if config.param_mode not in ("auto", "manual"):
@@ -204,43 +196,52 @@ def validate_config(config: RunConfig) -> FeedbackGraph:
         raise ConfigError("need at least one replicate")
     if config.num_contexts < 1:
         raise ConfigError("need at least one context")
-    graph = build_graph(config.graph, rng_seed=config.seed)
-    if not graph.has_all_self_loops() or not graph.strongly_observable:
-        raise ConfigError("graph must be strongly observable with a self-loop at every arm")
-    if graph.num_arms < 2:
-        raise ConfigError(f"need at least two arms, got {graph.num_arms}")
     if config.param_mode == "manual" and config.eta is not None and not config.eta > 0:
         raise ConfigError(f"manual eta must be positive, got {config.eta!r}")
     if config.algo == "known" and not config.eta_scale > 0:
         raise ConfigError(f"eta_scale must be positive, got {config.eta_scale!r}")
     if config.gamma_ix is not None and not config.gamma_ix >= 0:
         raise ConfigError(f"gamma_ix must be nonnegative, got {config.gamma_ix!r}")
-    config.context_distribution()
-    _check_oracle_params(config.oracle, config.num_contexts, graph.num_arms)
-    if config.algo == "unknown" and config.horizon > 0:
-        resolve_schedule(config, graph)
-    return graph
+    T, M = config.horizon, config.num_contexts
+    try:
+        graph = build_graph(config.graph, rng_seed=config.seed)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"graph: {exc}") from exc
+    if not graph.has_all_self_loops() or not graph.strongly_observable:
+        raise ConfigError("graph must be strongly observable with a self-loop at every arm")
+    if graph.num_arms < 2:
+        raise ConfigError(f"need at least two arms, got {graph.num_arms}")
+    try:
+        nu = np.full(M, 1.0 / M) if config.nu is None else check_simplex(config.nu)
+    except ValueError as exc:
+        raise ConfigError(f"nu: {exc}") from exc
+    if len(nu) != M:
+        raise ConfigError(f"nu has {len(nu)} entries, expected {M}")
+    try:
+        oracle = oracle_source(config.oracle, T, M, graph.num_arms)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{config.oracle.kind} oracle: {exc}") from exc
+    schedule = resolve_schedule(config, graph) if config.algo == "unknown" and T > 0 else None
+    return RunPlan(config=config, graph=graph, nu=nu, schedule=schedule, oracle=oracle)
 
 
-def make_learner(config: RunConfig, graph: FeedbackGraph, nu: np.ndarray):
-    K, M, T = graph.num_arms, config.num_contexts, config.horizon
-    if config.algo == "known":
-        eta = config.eta if (config.param_mode == "manual" and config.eta is not None) else \
-            default_learning_rate(K, max(T, 1), graph.alpha, scale=config.eta_scale)
-        return KnownDistLearner(graph, nu, eta)
+def make_learner(plan: RunPlan):
+    config, graph = plan.config, plan.graph
+    K, M, T = graph.num_arms, config.num_contexts, max(config.horizon, 1)
     if config.algo == "unknown":
-        return EpochLearner(graph, M, resolve_schedule(config, graph))
-    if config.algo in ("per_context_exp3g", "pooled_exp3g"):
-        per_context = config.algo == "per_context_exp3g"
-        states = M if per_context else 1
-        eta_default, gix_default = baseline_rates(K, max(T, 1), graph.alpha, num_states=states)
-        eta = config.eta if (config.param_mode == "manual" and config.eta is not None) \
-            else eta_default
-        gix = config.gamma_ix if config.gamma_ix is not None else gix_default
-        return GraphExp3Baseline(graph, M, eta=eta, gamma_ix=gix, per_context=per_context)
+        return EpochLearner(graph, M, plan.schedule)
     if config.algo == "uniform":
         return UniformBaseline(graph, M)
-    raise ConfigError(f"unknown algo {config.algo!r}")
+    eta = config.eta if config.param_mode == "manual" else None  # validated > 0 if set
+    if config.algo == "known":
+        return KnownDistLearner(graph, plan.nu, eta or default_learning_rate(
+            K, T, graph.alpha, scale=config.eta_scale))
+    per_context = config.algo == "per_context_exp3g"
+    eta_default, gix_default = baseline_rates(K, T, graph.alpha,
+                                              num_states=M if per_context else 1)
+    return GraphExp3Baseline(graph, M, eta=eta or eta_default,
+                             gamma_ix=gix_default if config.gamma_ix is None else config.gamma_ix,
+                             per_context=per_context)
 
 
 @dataclass
@@ -408,8 +409,8 @@ def _replicate_seeds(master_seed: int, replicate: int) -> tuple[int, np.random.G
     return oracle_seed, rng
 
 
-def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Trace:
-    """Execute one replicate's full interaction loop.
+def run_replicate(plan: RunPlan, replicate: int) -> Trace:
+    """Execute one replicate of a validated plan's full interaction loop.
 
     Each round's loss row for the drawn context is read from the oracle once
     and kept in a transient (T, K) buffer; after the last round the buffer
@@ -421,7 +422,7 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
     feed a ``diagnostics.EpochObserver``, whose reports go to
     ``trace.diagnostics``.
     """
-    nu = config.context_distribution()
+    config, graph, nu = plan.config, plan.graph, plan.nu
     T, M, K = config.horizon, config.num_contexts, graph.num_arms
     full = config.trace_level == "full"
     diag = config.diagnostics
@@ -444,10 +445,10 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
         return trace
 
     oracle_seed, rng = _replicate_seeds(config.seed, replicate)
-    oracle = build_loss_oracle(config.oracle, T, M, K, oracle_seed)
-    learner = make_learner(config, graph, nu)
-    epoch_len = learner.epoch_len if config.algo == "unknown" else 0
-    observer = (diagnostics.EpochObserver(graph, nu, learner.params, trace.p_branch)
+    oracle = plan.oracle(oracle_seed)
+    learner = make_learner(plan)
+    epoch_len = plan.schedule.epoch_len if plan.schedule else 0
+    observer = (diagnostics.EpochObserver(graph, nu, plan.schedule, trace.p_branch)
                 if diag and epoch_len else None)
     rows = np.empty((T, K))
 
@@ -493,17 +494,21 @@ def run_replicate(config: RunConfig, graph: FeedbackGraph, replicate: int) -> Tr
 
 
 def _replicate_job(args):
-    config, graph, replicate = args
-    trace = run_replicate(config, graph, replicate)
+    plan, replicate = args
+    trace = run_replicate(plan, replicate)
     return trace, summarize_regret(trace)
 
 
 def run(config: RunConfig, keep_traces: bool = True) -> RunResult:
-    """Run all replicates on the validated graph; deterministic merge by
-    replicate index."""
-    graph = validate_config(config)
+    """Validate ``config`` and run its plan."""
+    return run_plan(validate_config(config), keep_traces)
+
+
+def run_plan(plan: RunPlan, keep_traces: bool = True) -> RunResult:
+    """Run every replicate of a plan; deterministic merge by replicate index."""
+    config = plan.config
     workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
-    jobs = [(config, graph, r) for r in range(config.replicates)]
+    jobs = [(plan, r) for r in range(config.replicates)]
     if workers > 1 and config.replicates > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_job, jobs))
@@ -514,7 +519,7 @@ def run(config: RunConfig, keep_traces: bool = True) -> RunResult:
     if config.diagnostics and config.algo == "unknown":
         for tr in traces:
             diagnostics.attach_epoch_diagnostics(tr)
-    return RunResult(config=config, graph=graph, summaries=summaries,
+    return RunResult(config=config, graph=plan.graph, summaries=summaries,
                      traces=traces if keep_traces else [])
 
 
@@ -581,9 +586,11 @@ def config_for_axis(config: RunConfig, axis: str, value: int) -> RunConfig:
 
 
 def run_sweep(config: RunConfig, axis: str, values) -> SweepResult:
+    """Run ``config`` at each value of ``axis``, validating every point first."""
+    points = [(v, validate_config(config_for_axis(config, axis, v))) for v in values]
     rows = []
-    for v in values:
-        res = run(config_for_axis(config, axis, v), keep_traces=False)
+    for v, plan in points:
+        res = run_plan(plan, keep_traces=False)
         rows.append(SweepRow(value=float(v), mean_expected=res.mean_expected,
                              stderr_expected=res.stderr_expected,
                              mean_realized=res.mean_realized,

@@ -46,7 +46,7 @@ class ParamSchedule:
     def __post_init__(self):
         if self.epoch_len < 2 or self.epoch_len % 2 != 0:
             raise ValueError(f"epoch_len must be an even integer >= 2, got {self.epoch_len}")
-        if self.gamma <= 0 or self.eta <= 0 or self.iota <= 0:
+        if not (self.gamma > 0 and self.eta > 0 and self.iota > 0):  # NaN fails too
             raise ValueError("iota, gamma and eta must be positive")
 
 

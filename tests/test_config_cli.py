@@ -1,11 +1,14 @@
 import json
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from crossbandit.cli import main
-from crossbandit.config import parse_config
-from crossbandit.harness import ConfigError
+from crossbandit.config import _KEYS, parse_config
+from crossbandit.graph import GraphSpec
+from crossbandit.harness import ConfigError, OracleSpec, RunConfig, validate_config
 
 MINIMAL = """
 [run]
@@ -79,7 +82,7 @@ gamma = 0.05
         text = MINIMAL.replace("contexts = 2", "contexts = 2\nnu = 0.7,0.3")
         cfg = parse_config(write_cfg(tmp_path, text))
         assert cfg.nu == (0.7, 0.3)
-        assert np.allclose(cfg.context_distribution(), [0.7, 0.3])
+        assert np.allclose(validate_config(cfg).nu, [0.7, 0.3])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="exist"):
@@ -88,6 +91,84 @@ gamma = 0.05
     def test_inline_comments_allowed(self, tmp_path):
         text = MINIMAL.replace("horizon = 1024", "horizon = 1024  # rounds")
         assert parse_config(write_cfg(tmp_path, text)).horizon == 1024
+
+    def test_every_field_has_exactly_one_ini_key(self):
+        keys = Counter((cls, name) for cls, name, _ in _KEYS.values())
+        assert set(keys.values()) == {1}
+        assert set(keys) == {(cls, f.name) for cls in (RunConfig, OracleSpec)
+                             for f in fields(cls)} - {(RunConfig, "oracle")}
+
+    def test_omitted_keys_keep_the_dataclass_defaults(self, tmp_path):
+        cfg = parse_config(write_cfg(tmp_path, MINIMAL))
+        assert cfg == RunConfig(graph=GraphSpec.parse("complete:4"),
+                                oracle=OracleSpec(kind="stochastic_gap"), num_contexts=2,
+                                horizon=1024, algo="known", seed=3)
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        bids = tmp_path / "bids.csv"
+        bids.write_text("0.5\n" * 64)
+        text = f"""
+[run]
+algo = unknown
+horizon = 64
+seed = 9
+replicates = 3
+
+[graph]
+spec = triangular:4
+
+[env]
+contexts = 2
+nu = 0.25, 0.75
+oracle = auction
+base = 0.3
+gap = 0.1
+best_stride = 2
+low = 0.1
+high = 0.7
+table = unused.npy
+value_grid = 0.2,0.8
+bid_grid = 0,0.25,0.5,1
+bids_file = {bids}
+
+[params]
+mode = manual
+tuned_scale = 0.5
+eta = 0.01
+gamma = 0.05
+epoch_len = 16
+iota = 6
+eta_scale = 2
+gamma_ix = 0.1
+
+[output]
+dir = out
+trace = full
+diagnostics = yes
+"""
+        oracle = OracleSpec(kind="auction", base=0.3, gap=0.1, best_stride=2, low=0.1, high=0.7,
+                            table_path="unused.npy", value_grid=(0.2, 0.8),
+                            bid_grid=(0.0, 0.25, 0.5, 1.0), bids_path=str(bids))
+        assert parse_config(write_cfg(tmp_path, text)) == RunConfig(
+            graph=GraphSpec(kind="ordered_triangular", num_arms=4), oracle=oracle,
+            num_contexts=2, horizon=64, algo="unknown", seed=9, nu=(0.25, 0.75), replicates=3,
+            param_mode="manual", tuned_scale=0.5, eta=0.01, gamma=0.05, epoch_len=16, iota=6.0,
+            eta_scale=2.0, gamma_ix=0.1, trace_level="full", diagnostics=True, output_dir="out")
+
+    def test_unknown_keys_are_reported_before_missing_ones(self, tmp_path):
+        text = MINIMAL.replace("seed = 3\n", "") + "\n[params]\nbogus = 1\n"
+        with pytest.raises(ConfigError, match="params.bogus"):
+            parse_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("horizon = 1024", "horizon = many", "run.horizon"),
+        ("contexts = 2", "contexts = 2\nnu = 0.5,half", "env.nu"),
+        ("oracle = stochastic_gap", "oracle = stochastic_gap\n[output]\ndiagnostics = maybe",
+         "output.diagnostics"),
+    ])
+    def test_unparsable_values_name_their_key(self, tmp_path, old, new, key):
+        with pytest.raises(ConfigError, match=f"{key}: cannot parse"):
+            parse_config(write_cfg(tmp_path, MINIMAL.replace(old, new)))
 
 
 class TestCli:

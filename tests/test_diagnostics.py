@@ -17,9 +17,10 @@ from crossbandit.harness import (
     OracleSpec,
     RunConfig,
     _replicate_seeds,
-    build_loss_oracle,
+    oracle_source,
     resolve_schedule,
     run,
+    validate_config,
 )
 from crossbandit.simplex import tilt
 
@@ -148,14 +149,15 @@ def reference_ratio_extremes(p_tilde, snapshot):
 
 
 def replay_diagnostics(trace, config, graph):
-    """Reference for the run's reports: rebuild the replicate's oracle, replay
-    every loss round that used an arm, and tilt once per round pair."""
+    """Reference for the run's reports: rebuild the replicate's oracle from its
+    seed, replay every loss round that used an arm, and tilt once per round
+    pair."""
     params = resolve_schedule(config, graph)
     L, gamma, eta, iota = params.epoch_len, params.gamma, params.eta, params.iota
-    nu = config.context_distribution()
+    M = trace.num_contexts
+    nu = np.full(M, 1.0 / M) if config.nu is None else np.asarray(config.nu)
     oracle_seed, _ = _replicate_seeds(config.seed, trace.replicate)
-    oracle = build_loss_oracle(config.oracle, trace.horizon, trace.num_contexts,
-                               graph.num_arms, oracle_seed)
+    oracle = oracle_source(config.oracle, trace.horizon, M, graph.num_arms)(oracle_seed)
     any_used = trace.used_mask.any(axis=1)
     reports, all_ok = [], True
     for er in trace.epochs:
@@ -259,11 +261,15 @@ class TestRunFeedsDiagnostics:
     def test_one_oracle_per_replicate(self, monkeypatch):
         built = []
 
-        def counting(*args, **kwargs):
-            built.append(args)
-            return build_loss_oracle(*args, **kwargs)
+        def counting(*args):
+            source = oracle_source(*args)
 
-        monkeypatch.setattr(harness, "build_loss_oracle", counting)
+            def build(seed):
+                built.append(seed)
+                return source(seed)
+            return build
+
+        monkeypatch.setattr(harness, "oracle_source", counting)
         res = run(diag_config(replicates=3))
         assert len(built) == 3
         assert all(epoch_diagnostics(tr) for tr in res.traces)
@@ -276,6 +282,7 @@ class TestRunFeedsDiagnostics:
         assert trace.epochs == []
         with pytest.raises((ValueError, ConfigError)):
             resolve_schedule(res.config, res.graph)  # T = 0 has no schedule
+        assert validate_config(res.config).schedule is None
 
     def test_non_epoch_learner_has_empty_reports(self):
         res = run(diag_config(algo="known"))

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ class TestTableOracle:
         path.write_text("0,0,0,0.25\n0,1,1,0.5\n")
         with pytest.raises(ValueError, match="cover"):
             TableOracle.from_csv(path)
+
+    @pytest.mark.parametrize("row", ["-1,0,1,0.9", "0,-1,1,0.9", "0,0,-2,0.9", "0,1"])
+    def test_csv_rejects_negative_indices_and_short_rows(self, tmp_path, row):
+        # a negative index would wrap around and overwrite another cell
+        path = tmp_path / "loss.csv"
+        path.write_text("t,c,a,loss\n0,0,0,0.2\n0,0,1,0.3\n" + row + "\n")
+        with pytest.raises(ValueError, match="line 4"):
+            TableOracle.from_csv(path)
+
+    def test_npy_with_nan_rejected(self):
+        with pytest.raises(ValueError, match="lie in"):
+            TableOracle(np.array([[[0.5, np.nan]]]))
 
     def test_npy_roundtrip(self, tmp_path):
         tensor = np.random.default_rng(0).random((3, 2, 2))
@@ -164,6 +177,23 @@ class TestAuctionOracle:
         path.write_text("bid\n0.25\n0.5\n0.75\n")
         assert np.allclose(load_opposing_bids(path), [0.25, 0.5, 0.75])
 
+    def test_bids_csv_without_header_and_with_blank_lines(self, tmp_path):
+        path = tmp_path / "bids.csv"
+        path.write_text("\n0.25\n\n0.5\n")
+        assert load_opposing_bids(path).tolist() == [0.25, 0.5]
+
+    @pytest.mark.parametrize("text,line", [
+        ("bid\n0.1\n0.2x\n0.3\n", 3),  # a malformed bid would shift every later round
+        ("bid\n0.1\n0.3\nnan\n", 4),  # a NaN bid never wins
+        ("\nbid\nvalue\n0.1\n", 3),  # only the first nonblank line may be a header
+        ("0.1\ninf\n", 2),
+    ])
+    def test_bids_csv_rejects_malformed_lines(self, tmp_path, text, line):
+        path = tmp_path / "bids.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}"):
+            load_opposing_bids(path)
+
 
 class TestReveal:
     def setup_method(self):
@@ -222,6 +252,17 @@ def test_loss_slices_are_read_only_and_repeat(kind):
         assert first.tobytes() == _every_oracle_kind()[kind].loss_slice(t).tobytes()
         with pytest.raises(ValueError):
             first[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("kind", range(4))
+def test_pickled_oracles_keep_read_only_slices(kind):
+    # a run plan shares one oracle, pickled whole, with worker processes
+    oracle = _every_oracle_kind()[kind]
+    oracle.loss_slice(5)  # a chunked oracle's cached chunk is not pickled
+    copy = pickle.loads(pickle.dumps(oracle))
+    for t in (5, 0):
+        assert not copy.loss_slice(t).flags.writeable
+        assert copy.loss_slice(t).tobytes() == oracle.loss_slice(t).tobytes()
 
 
 def test_table_oracle_leaves_the_callers_tensor_writeable():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from crossbandit import environment, harness
 from crossbandit.graph import GraphSpec
 from crossbandit.harness import (
     ALGOS,
@@ -12,12 +13,11 @@ from crossbandit.harness import (
     RunConfig,
     _replicate_seeds,
     best_policy_from_sums,
-    build_loss_oracle,
     config_for_axis,
     fit_scaling,
     make_learner,
+    oracle_source,
     regret_curves,
-    resolve_schedule,
     run,
     run_sweep,
     summarize_regret,
@@ -153,7 +153,7 @@ class TestValidation:
                            graph=GraphSpec(kind="disjoint_cliques",
                                            clique_sizes=(4, 4, 4, 4)),
                            num_contexts=8)
-        sched = resolve_schedule(cfg, validate_config(cfg))
+        sched = validate_config(cfg).schedule
         assert 4096 % sched.epoch_len == 0
 
     def test_rejects_unknown_algo(self):
@@ -181,12 +181,12 @@ class TestValidation:
     @pytest.mark.parametrize("algo", ["known", "per_context_exp3g", "pooled_exp3g"])
     def test_manual_eta_is_used_verbatim(self, algo):
         cfg = small_config(algo=algo, param_mode="manual", eta=0.0123)
-        graph = validate_config(cfg)
-        learner = make_learner(cfg, graph, cfg.context_distribution())
+        learner = make_learner(validate_config(cfg))
         assert learner.eta == 0.0123
 
     # Validation must reject each of these with a ConfigError: run_replicate
-    # or the auto schedule formulas would otherwise raise on it.
+    # or the auto schedule formulas would otherwise raise on it. A callable
+    # case writes its files under tmp_path first.
     @pytest.mark.parametrize("kw", [
         dict(algo="known", eta_scale=0.0),
         dict(algo="per_context_exp3g", gamma_ix=-0.1),
@@ -200,12 +200,65 @@ class TestValidation:
         dict(oracle=OracleSpec(kind="auction", bid_grid=(-0.1, 0.3, 0.6, 0.9))),
         *[dict(algo="unknown", horizon=T) for T in (1, 2, 3)],
         dict(algo="unknown", horizon=1024, tuned_scale=-1.0),
+        dict(algo="unknown", horizon=1024, tuned_scale=math.nan),
+        dict(algo="unknown", param_mode="manual", epoch_len=32, eta=0.01, gamma=math.nan),
+        lambda tmp: dict(oracle=OracleSpec(kind="table", table_path=str(tmp / "none.npy"))),
+        lambda tmp: dict(oracle=_table_spec(tmp, rounds=255)),
+        lambda tmp: dict(oracle=_bids_spec(tmp, rounds=255)),
+        lambda tmp: dict(oracle=OracleSpec(kind="auction", bids_path=str(tmp / "none.csv"))),
     ], ids=["eta_scale", "gamma_ix", "gap_means", "shift_bounds", "value_grid", "bid_grid",
             "value_grid_unsorted", "value_grid_above_1", "bid_grid_descending",
-            "bid_grid_negative", "auto_T1", "auto_T2", "auto_T3", "tuned_scale"])
-    def test_rejects_what_would_fail_mid_run(self, kw):
+            "bid_grid_negative", "auto_T1", "auto_T2", "auto_T3", "tuned_scale",
+            "tuned_scale_nan", "manual_gamma_nan", "table_missing", "table_short", "bids_short", "bids_missing"])
+    def test_rejects_what_would_fail_mid_run(self, kw, tmp_path):
+        if callable(kw):
+            kw = kw(tmp_path)
         with pytest.raises(ConfigError):
             validate_config(small_config(**kw))
+
+    @pytest.mark.parametrize("text", ["bid\n0.1\n0.2x\n", "0.1\nnan\n"])
+    def test_rejects_a_malformed_bids_file(self, tmp_path, text):
+        path = tmp_path / "bids.csv"
+        path.write_text(text + "0.5\n" * 256)
+        spec = OracleSpec(kind="auction", bids_path=str(path))
+        with pytest.raises(ConfigError, match="line 3" if "x" in text else "line 2"):
+            validate_config(small_config(oracle=spec))
+
+    def test_plan_holds_what_the_replicates_share(self, tmp_path):
+        plan = validate_config(small_config(oracle=_table_spec(tmp_path, rounds=256)))
+        assert plan.schedule is None and plan.nu.tolist() == [0.25] * 4
+        assert plan.oracle(1) is plan.oracle(2)  # one table for every replicate
+        gap = validate_config(small_config())
+        assert gap.oracle(1).seed == 1 and gap.oracle(2).seed == 2
+
+    def test_a_table_is_read_once_per_validation(self, tmp_path, monkeypatch):
+        reads = []
+        real = environment.TableOracle.from_npy
+
+        def counting(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(environment.TableOracle, "from_npy", counting)
+        cfg = small_config(oracle=_table_spec(tmp_path, rounds=256), replicates=4)
+        res = run(cfg)
+        assert len(reads) == 1 and len(res.traces) == 4
+        validate_config(cfg)
+        assert len(reads) == 2
+
+    def test_the_schedule_is_resolved_once_per_run(self, monkeypatch):
+        calls = []
+        real = harness.resolve_schedule
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "resolve_schedule", counting)
+        cfg = small_config(algo="unknown", replicates=4, param_mode="manual",
+                           epoch_len=32, eta=0.01, gamma=0.05)
+        assert len(run(cfg).traces) == 4
+        assert len(calls) == 1
 
     def test_graph_must_have_self_loops(self, tmp_path):
         path = tmp_path / "adj.txt"
@@ -271,14 +324,43 @@ class TestSweep:
         with pytest.raises(ConfigError, match="cliques"):
             config_for_axis(cfg, "alpha", 2)
 
+    def test_every_point_is_validated_before_the_first_runs(self, monkeypatch):
+        ran = []
+        real = harness.run_replicate
+
+        def counting(plan, replicate):
+            ran.append(replicate)
+            return real(plan, replicate)
+
+        monkeypatch.setattr(harness, "run_replicate", counting)
+        cfg = small_config(graph=GraphSpec(kind="disjoint_cliques", clique_sizes=(4, 4, 4, 4)),
+                           horizon=64)
+        with pytest.raises(ConfigError, match="divide"):
+            run_sweep(cfg, "alpha", [1, 2, 4, 3])
+        assert ran == []
+        run_sweep(cfg, "alpha", [1, 2, 4])
+        assert len(ran) == 3 * cfg.replicates
+
+
+def _table_spec(tmp, rounds):
+    path = tmp / "losses.npy"
+    np.save(path, np.random.default_rng(5).random((rounds, 4, 4)))
+    return OracleSpec(kind="table", table_path=str(path))
+
+
+def _bids_spec(tmp, rounds):
+    path = tmp / "bids.csv"
+    path.write_text("bid\n" + "0.5\n" * rounds)
+    return OracleSpec(kind="auction", bids_path=str(path))
+
 
 def replay(trace, config):
     """Reference for what a run derives from its loss rows: rebuild the
-    replicate's oracle and replay every round. Returns the loss sums, the
-    realized losses and the two regret curves."""
+    replicate's oracle from its seed and replay every round. Returns the loss
+    sums, the realized losses and the two regret curves."""
     oracle_seed, _ = _replicate_seeds(config.seed, trace.replicate)
-    oracle = build_loss_oracle(config.oracle, trace.horizon, trace.num_contexts,
-                               trace.num_arms, oracle_seed)
+    oracle = oracle_source(config.oracle, trace.horizon, trace.num_contexts,
+                           trace.num_arms)(oracle_seed)
     loss_sums = np.zeros((trace.num_contexts, trace.num_arms))
     realized = np.zeros(trace.horizon)
     for t in range(trace.horizon):
@@ -316,11 +398,16 @@ class TestRegretCurves:
             assert_matches_replay(trace, cfg)
 
     def test_match_the_replay_on_a_table_oracle(self, tmp_path):
-        path = tmp_path / "losses.npy"
-        np.save(path, np.random.default_rng(5).random((96, 4, 4)))
-        cfg = small_config(oracle=OracleSpec(kind="table", table_path=str(path)),
-                           horizon=96, replicates=1)
+        cfg = small_config(oracle=_table_spec(tmp_path, rounds=96), horizon=96, replicates=1)
         assert_matches_replay(run(cfg).traces[0], cfg)
+
+    @pytest.mark.parametrize("oracle", ["table", "bids"])
+    def test_match_the_replay_on_two_workers(self, tmp_path, monkeypatch, oracle):
+        monkeypatch.setenv(harness.WORKERS_ENV_VAR, "2")
+        spec = (_table_spec if oracle == "table" else _bids_spec)(tmp_path, rounds=128)
+        cfg = small_config(oracle=spec, horizon=128, replicates=2)
+        for trace in run(cfg).traces:
+            assert_matches_replay(trace, cfg)
 
     def test_zero_horizon_gives_empty_curves(self):
         trace = run(small_config(horizon=0, replicates=1)).traces[0]

@@ -1,6 +1,8 @@
 """Property tests of the learner contract (``environment.Play``) on random
 small self-looped graphs, for every algorithm the harness can run."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from crossbandit.environment import TableOracle, reveal, sample_context
 from crossbandit.graph import FeedbackGraph, GraphSpec
 from crossbandit.harness import ALGOS, OracleSpec, RunConfig, make_learner, run_replicate, \
-    summarize_regret
+    summarize_regret, validate_config
 from crossbandit.unknown import rejection_distribution
 
 L = 4  # epoch length of the epoch learner
@@ -23,12 +25,14 @@ def self_looped_graphs(draw):
                           for a in range(K)])
 
 
-def _config(graph, algo, M, epochs, eta, seed, **kw):
-    # run_replicate takes the graph as built; the spec only names its size
-    return RunConfig(graph=GraphSpec(kind="self_loops_only", num_arms=graph.num_arms),
-                     oracle=OracleSpec(kind="stochastic_gap"), num_contexts=M,
-                     horizon=epochs * L, algo=algo, seed=seed, param_mode="manual",
-                     epoch_len=L, eta=eta, gamma=0.1, **kw)
+def _plan(graph, algo, M, epochs, eta, seed, **kw):
+    """The run plan on ``graph``. The spec only names its size: the plan's
+    graph is swapped for ``graph``, which the manual schedule does not read."""
+    config = RunConfig(graph=GraphSpec(kind="self_loops_only", num_arms=graph.num_arms),
+                       oracle=OracleSpec(kind="stochastic_gap"), num_contexts=M,
+                       horizon=epochs * L, algo=algo, seed=seed, param_mode="manual",
+                       epoch_len=L, eta=eta, gamma=0.1, **kw)
+    return replace(validate_config(config), graph=graph)
 
 
 cases = dict(graph=self_looped_graphs(), algo=st.sampled_from(ALGOS),
@@ -39,11 +43,11 @@ cases = dict(graph=self_looped_graphs(), algo=st.sampled_from(ALGOS),
 @settings(max_examples=60, deadline=None)
 @given(**cases)
 def test_plays_and_pairs_keep_the_contract(graph, algo, M, epochs, eta, seed):
-    config = _config(graph, algo, M, epochs, eta, seed)
-    nu = config.context_distribution()
+    plan = _plan(graph, algo, M, epochs, eta, seed)
+    config, nu = plan.config, plan.nu
     rng = np.random.default_rng(seed)
     oracle = TableOracle(rng.random((config.horizon, M, graph.num_arms)))
-    learner = make_learner(config, graph, nu)
+    learner = make_learner(plan)
     arms, pairs = [], 0
     for t in range(config.horizon):
         c = sample_context(nu, rng)
@@ -71,9 +75,9 @@ def test_plays_and_pairs_keep_the_contract(graph, algo, M, epochs, eta, seed):
 @settings(max_examples=30, deadline=None)
 @given(**cases)
 def test_traces_keep_the_contract(graph, algo, M, epochs, eta, seed):
-    config = _config(graph, algo, M, epochs, eta, seed, diagnostics=True, trace_level="full")
-    trace = run_replicate(config, graph, 0)
-    T = config.horizon
+    plan = _plan(graph, algo, M, epochs, eta, seed, diagnostics=True, trace_level="full")
+    trace = run_replicate(plan, 0)
+    T = plan.config.horizon
     assert np.allclose(trace.q_rows.sum(axis=1), 1.0)
     assert (trace.q_rows[np.arange(T), trace.arms] > 0).all()
     assert not (trace.used_mask & ~graph.out_mask[trace.arms]).any()
@@ -90,10 +94,10 @@ def test_traces_keep_the_contract(graph, algo, M, epochs, eta, seed):
 @pytest.mark.parametrize("algo", ["known", "unknown"])
 def test_a_state_replays_identically_across_epoch_ends(algo):
     graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
-    config = _config(graph, algo, 2, 6, 1.0, 0)
-    nu = config.context_distribution()
-    oracle = TableOracle(np.random.default_rng(1).random((config.horizon, 2, 3)))
-    learner = make_learner(config, graph, nu)
+    plan = _plan(graph, algo, 2, 6, 1.0, 0)
+    nu = plan.nu
+    oracle = TableOracle(np.random.default_rng(1).random((plan.config.horizon, 2, 3)))
+    learner = make_learner(plan)
 
     def drive(rounds, rng):
         arms = []
@@ -130,9 +134,9 @@ def test_the_policy_table_is_built_once_per_round(monkeypatch, algo, trace_level
     for module in (known, unknown, baselines):  # each module's own binding
         monkeypatch.setattr(module, "exp_weights", counted(module.exp_weights))
     graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
-    config = _config(graph, algo, 3, 8, 1.0, 0, trace_level=trace_level)
-    run_replicate(config, graph, 0)
-    T = config.horizon
+    plan = _plan(graph, algo, 3, 8, 1.0, 0, trace_level=trace_level)
+    run_replicate(plan, 0)
+    T = plan.config.horizon
     if algo == "known":  # one (M, K) table per round, shared by act, update and the trace
         assert len(calls) == T
     elif algo == "unknown":
@@ -149,8 +153,7 @@ def test_the_policy_table_is_built_once_per_round(monkeypatch, algo, trace_level
 
 def test_the_known_learners_table_is_read_only():
     graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
-    config = _config(graph, "known", 2, 2, 1.0, 0)
-    learner = make_learner(config, graph, config.context_distribution())
+    learner = make_learner(_plan(graph, "known", 2, 2, 1.0, 0))
     with pytest.raises(ValueError):
         learner.distributions()[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -159,9 +162,9 @@ def test_the_known_learners_table_is_read_only():
 
 def test_the_epoch_learners_table_is_read_only():
     graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
-    config = _config(graph, "unknown", 2, 3, 1.0, 0)
-    learner = make_learner(config, graph, config.context_distribution())
-    oracle = TableOracle(np.random.default_rng(1).random((config.horizon, 2, 3)))
+    plan = _plan(graph, "unknown", 2, 3, 1.0, 0)
+    learner = make_learner(plan)
+    oracle = TableOracle(np.random.default_rng(1).random((plan.config.horizon, 2, 3)))
     rng = np.random.default_rng(2)
     for t in range(L + 1):  # into the first FTRL pair
         with pytest.raises(ValueError):
@@ -176,13 +179,13 @@ def test_the_epoch_learners_table_is_read_only():
 @pytest.mark.parametrize("algo", ALGOS)
 def test_returned_distributions_are_never_written(algo):
     graph = FeedbackGraph([(0, 1), (1, 2), (0, 2), (3, 0)])
-    config = _config(graph, algo, 3, 6, 1.0, 0)
-    nu = config.context_distribution()
+    plan = _plan(graph, algo, 3, 6, 1.0, 0)
+    nu = plan.nu
     rng = np.random.default_rng(4)
-    oracle = TableOracle(rng.random((config.horizon, 3, graph.num_arms)))
-    learner = make_learner(config, graph, nu)
+    oracle = TableOracle(rng.random((plan.config.horizon, 3, graph.num_arms)))
+    learner = make_learner(plan)
     returned = []
-    for t in range(config.horizon):
+    for t in range(plan.config.horizon):
         play = learner.act(t, sample_context(nu, rng), rng)
         dists = learner.distributions()
         returned += [(play.q, play.q.copy()), (dists, dists.copy())]

@@ -390,18 +390,22 @@ class PairTableLearner(EpochLearner):
 
 
 def _run_with(monkeypatch, config, graph, learner_cls):
-    """run_replicate with the epoch learner built as ``learner_cls``; returns
-    the trace and the learner."""
+    """run_replicate on ``graph`` with the epoch learner built as
+    ``learner_cls``; returns the trace and the learner."""
+    from dataclasses import replace
+
     from crossbandit import harness
 
     built = []
 
-    def make_learner(cfg, g, nu):
-        built.append(learner_cls(g, cfg.num_contexts, harness.resolve_schedule(cfg, g)))
+    def make_learner(plan):
+        built.append(learner_cls(plan.graph, plan.config.num_contexts, plan.schedule))
         return built[0]
 
     monkeypatch.setattr(harness, "make_learner", make_learner)
-    return harness.run_replicate(config, graph, 0), built[0]
+    plan = replace(harness.validate_config(config), graph=graph,
+                   schedule=harness.resolve_schedule(config, graph))
+    return harness.run_replicate(plan, 0), built[0]
 
 
 @pytest.mark.parametrize("seed", [3, 17, 101])
