@@ -43,7 +43,7 @@ from .unknown import (
     schedule_params,
     tuned_schedule,
 )
-from .diagnostics import epoch_diagnostics, graph_inverse_bound
+from .diagnostics import graph_inverse_bound
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

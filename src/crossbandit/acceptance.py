@@ -202,8 +202,6 @@ def check_concentration_events(n_epochs: int = 205, seed: int = 14) -> CheckResu
     as often as their union bounds, and the denominator ratio stays within
     [1/2, 2] on every importance-event epoch. The run computes the
     per-epoch reports; the check only reads them."""
-    from .diagnostics import epoch_diagnostics
-
     t0 = time.time()
     iota, L = 6.0, 256
     gamma = 4.0 * iota / L
@@ -217,7 +215,7 @@ def check_concentration_events(n_epochs: int = 205, seed: int = 14) -> CheckResu
         diagnostics=True,
     )
     result = run(config)
-    reports = epoch_diagnostics(result.traces[0])
+    reports = [er.diag for er in result.traces[0].epochs if er.diag is not None]
     n = len(reports)
     K = result.graph.num_arms
     p_f = float(np.mean([r.importance_ok for r in reports]))

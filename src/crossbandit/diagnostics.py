@@ -23,7 +23,8 @@ one: 2 * loss / (w_e(a) + gamma) on used feedback.
 The run feeds the checks as it goes. With diagnostics on, ``run_replicate``
 hands an :class:`EpochObserver` each epoch's start record and each finished
 pair's record, whose loss block holds exactly the losses the learner used, so
-no oracle is read a second time. The reports end up on ``Trace.diagnostics``.
+no oracle is read a second time. Each report ends up on its epoch's record,
+as ``EpochRecord.diag``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .graph import FeedbackGraph
 
 if TYPE_CHECKING:
-    from .harness import EpochRecord, Trace
+    from .harness import EpochRecord
     from .unknown import PairRecord, ParamSchedule
 
 # Elements of one block of pseudo-estimate sums tilted together: at most
@@ -99,12 +100,14 @@ def _ratio_extremes(p_tilde: np.ndarray, snapshot: np.ndarray) -> tuple[float, f
 class EpochObserver:
     """Builds one replicate's per-epoch reports while the replicate runs.
 
-    Call ``start_epoch`` at every epoch's first round, ``add_pair`` for every
-    finished pair, and ``finish`` after the last round. Each pair that used
-    some arm adds its pseudo-estimates to the epoch's running sums and copies
-    the new sums into a block buffer; a full block is tilted in one batched
-    evaluation, which gives the same bits as one ``simplex.tilt`` per pair.
-    Pairs that used no arm leave the sums, and so the tilt, unchanged.
+    Call ``start_epoch`` at every epoch's first round (it ends the epoch
+    before), ``add_pair`` for every finished pair, and ``end_epoch`` after the
+    last round. An estimating epoch's report is set on its record as the
+    epoch ends. Each pair that used some arm adds its pseudo-estimates to the
+    epoch's running sums and copies the new sums into a block buffer; a full
+    block is tilted in one batched evaluation, which gives the same bits as
+    one ``simplex.tilt`` per pair. Pairs that used no arm leave the sums, and
+    so the tilt, unchanged.
     """
 
     def __init__(self, graph: FeedbackGraph, nu: np.ndarray, params: ParamSchedule,
@@ -120,16 +123,16 @@ class EpochObserver:
         self._filled = 0
         self._epoch: EpochRecord | None = None
         self._all_ok = True
-        self.reports: list[EpochDiag] = []
 
-    def start_epoch(self, er: EpochRecord) -> None:
-        self._end_epoch()
+    def start_epoch(self, er: EpochRecord, s_cur_in: np.ndarray) -> None:
+        """``s_cur_in`` holds the in-neighborhood masses of ``er.s_cur``'s rows."""
+        self.end_epoch()
         if er.epoch < 2:
             return
         p = self.params
         L, gamma, iota = p.epoch_len, p.gamma, p.iota
         self._epoch = er
-        self._w_exact = (self.nu @ self.graph.in_mass_rows(er.s_cur)) / 2.0
+        self._w_exact = (self.nu @ s_cur_in) / 2.0
         thresh = 2.0 * np.maximum(np.sqrt(self._w_exact * iota / L), iota / L)
         self._importance_ok = bool((np.abs(er.w_hat - self._w_exact) <= thresh).all())
         self._beta = (self._w_exact + gamma) / (er.w_hat + 1.5 * gamma)
@@ -145,10 +148,6 @@ class EpochObserver:
             return
         self._tilde[:, pr.used] += pr.losses * self._scale[pr.used]
         self._push()
-
-    def finish(self) -> list[EpochDiag]:
-        self._end_epoch()
-        return self.reports
 
     def _push(self) -> None:
         self._block[self._filled] = self._tilde
@@ -171,7 +170,7 @@ class EpochObserver:
         self._ratio_min, self._ratio_max = min(self._ratio_min, lo), max(self._ratio_max, hi)
         self._filled = 0
 
-    def _end_epoch(self) -> None:
+    def end_epoch(self) -> None:
         er = self._epoch
         if er is None:
             return
@@ -183,7 +182,7 @@ class EpochObserver:
         lhs, rhs = graph_inverse_bound(self.nu @ er.s_next, self.graph,
                                        eps=float((self._w_exact + p.gamma).min()))
         end_t = min(er.start_t + p.epoch_len, len(self._p_branch))
-        self.reports.append(EpochDiag(
+        attach_epoch_diagnostics(er, EpochDiag(
             epoch=er.epoch, w_exact=self._w_exact,
             importance_ok=self._importance_ok, bounded_ok=bounded_ok,
             all_ok_so_far=self._all_ok,
@@ -196,32 +195,7 @@ class EpochObserver:
         self._epoch = None
 
 
-def epoch_diagnostics(trace: Trace) -> list[EpochDiag]:
-    """The per-epoch reports the run computed for a diagnostics-enabled trace."""
-    if trace.diagnostics is None:
-        raise ValueError("trace was not recorded with diagnostics enabled")
-    return trace.diagnostics
-
-
-def attach_epoch_diagnostics(trace: Trace) -> list[EpochDiag]:
-    """Fold the run's reports into the trace's epoch records."""
-    reports = epoch_diagnostics(trace)
-    by_epoch = {r.epoch: r for r in reports}
-    for er in trace.epochs:
-        r = by_epoch.get(er.epoch)
-        if r is None:
-            continue
-        er.diag = {
-            "F": r.importance_ok,
-            "L": r.bounded_ok,
-            "Q": r.all_ok_so_far,
-            "beta_min": r.beta_min,
-            "beta_max": r.beta_max,
-            "tilde_max": r.tilde_max,
-            "ptilde_min": r.ptilde_ratio_min,
-            "ptilde_max": r.ptilde_ratio_max,
-            "snapshot_rounds": r.snapshot_rounds,
-            "graph_inv_lhs": r.graph_inv_lhs,
-            "graph_inv_rhs": r.graph_inv_rhs,
-        }
-    return reports
+# Module level because the benchmark's span tracer wraps this name to time each report.
+def attach_epoch_diagnostics(er: EpochRecord, report: EpochDiag) -> None:
+    """Put an epoch's report on its record."""
+    er.diag = report

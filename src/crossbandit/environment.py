@@ -52,7 +52,8 @@ class Play(NamedTuple):
     ``GraphExp3Baseline``, ``UniformBaseline``) follows one contract. Besides
     it, the harness reads only ``distributions()`` for full traces and, at
     each epoch start, the epoch learner's public ``epoch``, ``w_hat``,
-    ``s_cur`` and ``s_next``:
+    ``s_cur``, ``s_next`` and ``s_cur_in`` (the in-neighborhood masses of
+    ``s_cur``'s rows):
 
     * ``act(t, c, rng) -> Play`` plays round t under context c. It draws
       the arm from ``rng`` and leaves the learner's estimates unchanged.
@@ -65,9 +66,10 @@ class Play(NamedTuple):
       replay can run one frozen round, pair or epoch many times. A state
       can be restored any number of times.
 
-    A returned ``q``, and a table returned by ``distributions()``, is never
-    written afterwards: learners rebind their policy tables instead, so the
-    caller may keep either without copying it.
+    A returned ``q``, a table returned by ``distributions()``, and the epoch
+    learner's snapshot and in-mass tables are never written afterwards:
+    learners rebind these tables instead, so the caller may keep any of them
+    without copying it.
     """
 
     arm: int
@@ -165,10 +167,13 @@ class TableOracle(LossOracle):
             for line, rec in enumerate(csv.reader(fh), 1):
                 if not rec or not rec[0].strip() or rec[0].strip().lower() == "t":
                     continue
-                row = tuple(map(int, rec[:3])) + tuple(map(float, rec[3:4]))
-                if len(row) < 4 or min(row[:3]) < 0:
-                    raise ValueError(f"loss table {path} line {line}: need t,c,a >= 0 "
-                                     f"and a loss, got {rec!r}")
+                try:
+                    row = tuple(map(int, rec[:3])) + (float(rec[3]),)
+                except (ValueError, IndexError):
+                    row = None
+                if row is None or min(row[:3]) < 0:
+                    raise ValueError(f"loss table {path} line {line}: need integers "
+                                     f"t,c,a >= 0 and a numeric loss, got {rec!r}")
                 rows.append(row)
         if not rows:
             raise ValueError(f"loss table {path} is empty")

@@ -312,11 +312,17 @@ def build_graph(spec: GraphSpec, rng_seed: int = 0) -> FeedbackGraph:
 def load_adjacency(path: str | Path) -> FeedbackGraph:
     """Plain-text adjacency: line i holds the space-separated out-neighbors of
     arm i (0-indexed). Self-loops must be listed explicitly and are required."""
-    lines = Path(path).read_text().splitlines()
-    rows = [line.split() for line in lines if line.strip()]
-    if not rows:
+    out = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            row = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"adjacency file {path} line {number}: need integer arm "
+                             f"indices, got {line!r}") from exc
+        if row:
+            out.append(row)
+    if not out:
         raise ValueError(f"adjacency file {path} is empty")
-    out = [[int(tok) for tok in row] for row in rows]
     graph = FeedbackGraph(out)
     missing = [a for a in range(graph.num_arms) if not graph.self_loops[a]]
     if missing:

@@ -246,7 +246,12 @@ def make_learner(plan: RunPlan):
 
 @dataclass
 class EpochRecord:
-    """Per-epoch state captured at the epoch's first round."""
+    """Per-epoch state captured at the epoch's first round.
+
+    With diagnostics on, ``s_cur`` and ``s_next`` are the learner's read-only
+    snapshot tables themselves, not copies, and ``diag`` is the epoch's report,
+    set once when the epoch ends (epochs 2 and later). Otherwise they are None.
+    """
 
     epoch: int
     start_t: int
@@ -255,7 +260,7 @@ class EpochRecord:
     s_next: np.ndarray | None = None
     s_cur_digest: str = ""
     s_next_digest: str = ""
-    diag: dict = field(default_factory=dict)
+    diag: diagnostics.EpochDiag | None = None
 
 
 def _digest(arr: np.ndarray) -> str:
@@ -271,10 +276,8 @@ class Trace:
     regret curves need no second pass over the oracle. With diagnostics on,
     ``used_mask[t]`` marks the arms whose feedback the epoch learner used
     when round t was its pair's loss round; other rounds' rows are all False.
-    ``diagnostics`` then holds the epoch learner's per-epoch reports
-    (``diagnostics.EpochDiag``, epochs 2 and later), computed while the
-    replicate ran; it is empty for other learners and for T = 0, and None
-    when diagnostics are off.
+    The epoch learner's per-epoch reports, computed while the replicate ran,
+    are then on ``epochs`` (``EpochRecord.diag``).
     """
 
     algo: str
@@ -292,7 +295,6 @@ class Trace:
     q_rows: np.ndarray | None = None
     policy_hashes: list[str] | None = None
     used_mask: np.ndarray | None = None
-    diagnostics: list | None = None
     epochs: list[EpochRecord] = field(default_factory=list)
 
     @property
@@ -332,7 +334,14 @@ class Trace:
                     "w_hat": [float(x) for x in er.w_hat],
                     "s_cur": er.s_cur_digest, "s_next": er.s_next_digest,
                 }
-                rec.update(er.diag)
+                d = er.diag
+                if d is not None:
+                    rec.update(F=d.importance_ok, L=d.bounded_ok, Q=d.all_ok_so_far,
+                               beta_min=d.beta_min, beta_max=d.beta_max,
+                               tilde_max=d.tilde_max, ptilde_min=d.ptilde_ratio_min,
+                               ptilde_max=d.ptilde_ratio_max,
+                               snapshot_rounds=d.snapshot_rounds,
+                               graph_inv_lhs=d.graph_inv_lhs, graph_inv_rhs=d.graph_inv_rhs)
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -419,8 +428,8 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
     only through what ``act`` and ``update`` return (``environment.Play``)
     and, for the epoch learner, its public state at each epoch start. With
     diagnostics on, the epoch learner's epoch starts and finished pairs also
-    feed a ``diagnostics.EpochObserver``, whose reports go to
-    ``trace.diagnostics``.
+    feed a ``diagnostics.EpochObserver``, which sets each epoch's report on
+    its ``EpochRecord``.
     """
     config, graph, nu = plan.config, plan.graph, plan.nu
     T, M, K = config.horizon, config.num_contexts, graph.num_arms
@@ -439,7 +448,6 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
         q_rows=np.zeros((T, K)) if full else None,
         policy_hashes=[] if full else None,
         used_mask=np.zeros((T, K), dtype=bool) if diag else None,
-        diagnostics=[] if diag else None,
     )
     if T == 0:
         return trace
@@ -456,14 +464,14 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
         if epoch_len and t % epoch_len == 0:
             er = EpochRecord(
                 epoch=learner.epoch, start_t=t, w_hat=learner.w_hat.copy(),
-                s_cur=learner.s_cur.copy() if diag else None,
-                s_next=learner.s_next.copy() if diag else None,
+                s_cur=learner.s_cur if diag else None,
+                s_next=learner.s_next if diag else None,
                 s_cur_digest=_digest(learner.s_cur),
                 s_next_digest=_digest(learner.s_next),
             )
             trace.epochs.append(er)
             if observer is not None:
-                observer.start_epoch(er)
+                observer.start_epoch(er, learner.s_cur_in)
         if full:
             # Hashed before act, which leaves every table unchanged: the
             # epoch learner then plays its row from the table built here.
@@ -484,7 +492,7 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
             trace.used_mask[pr.t_first + pr.loss_offset] = pr.used
             observer.add_pair(pr)
     if observer is not None:
-        trace.diagnostics = observer.finish()
+        observer.end_epoch()
     rounds = np.arange(T)
     trace.realized_inst = rows[rounds, trace.arms]
     np.add.at(trace.loss_sums, trace.contexts, rows)  # in round order, like += per round
@@ -516,9 +524,6 @@ def run_plan(plan: RunPlan, keep_traces: bool = True) -> RunResult:
         results = [_replicate_job(j) for j in jobs]
     traces = [tr for tr, _ in results]
     summaries = [s for _, s in results]
-    if config.diagnostics and config.algo == "unknown":
-        for tr in traces:
-            diagnostics.attach_epoch_diagnostics(tr)
     return RunResult(config=config, graph=plan.graph, summaries=summaries,
                      traces=traces if keep_traces else [])
 

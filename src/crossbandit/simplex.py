@@ -22,8 +22,9 @@ def check_simplex(p: np.ndarray, atol: float = SIMPLEX_ATOL) -> np.ndarray:
         raise ValueError("probability vector has non-finite entries")
     if (p < 0).any():
         raise ValueError("probability vector has negative entries")
-    if abs(float(p.sum()) - 1.0) > atol:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1 within {atol}")
+    total = float(p.sum())
+    if abs(total - 1.0) > atol:
+        raise ValueError(f"probabilities sum to {total!r}, not 1 within {atol}")
     return p
 
 

@@ -176,12 +176,14 @@ class EpochLearner(Replayable):
     """Algorithm state for the unknown-distribution setting.
 
     Snapshots are stored as frozen probability tables, never recomputed from
-    mutable state, so a fixed snapshot can never drift. A pair builds only
-    the FTRL rows it plays, one per round: ``cum`` does not change between a
-    pair's two rounds, and a row of ``exp_weights(cum)`` has the bits of
-    ``exp_weights(cum[c])``. The full (M, K) table is built only when
-    ``distributions()`` asks for it, and then shared with ``act`` until the
-    pair finishes. Single-threaded per instance.
+    mutable state, so a fixed snapshot can never drift; ``s_cur_in`` holds the
+    running snapshot's in-neighborhood masses, also read-only. A pair builds
+    only the FTRL rows it plays, one per round: ``cum`` does not change
+    between a pair's two rounds, and a row of ``exp_weights(cum)`` has the
+    bits of ``exp_weights(cum[c])``. The full (M, K) table is built only when
+    ``distributions()`` asks for it, or as the next snapshot at an epoch end,
+    and then shared with ``act`` until the pair finishes. Single-threaded per
+    instance.
     """
 
     # Mutated in place; every other field is rebound (``end_epoch`` makes
@@ -206,8 +208,8 @@ class EpochLearner(Replayable):
         self.cum = np.zeros((M, K))
         self.s_cur = uniform             # snapshot of the running epoch
         self.s_next = uniform            # snapshot already fixed for the next epoch
-        self._s_cur_in = graph.in_mass_rows(self.s_cur)
-        self._s_next_in = graph.in_mass_rows(self.s_next)
+        self.s_cur_in = self._in_mass(self.s_cur)
+        self._s_next_in = self._in_mass(self.s_next)
         self.w_hat = np.zeros(K)         # importance estimate applied this epoch
         self.w_hat_acc = np.zeros(K)     # accumulator for the next epoch's estimate
 
@@ -225,8 +227,8 @@ class EpochLearner(Replayable):
     def distributions(self) -> np.ndarray:
         """The policy table rounds are currently played from, read-only: the
         running snapshot in epoch 1, afterwards the FTRL table
-        ``exp_weights(cum)``, built on first request and kept until the pair
-        finishes or the epoch ends."""
+        ``exp_weights(cum)``, built on first request or as the next snapshot
+        at an epoch end, and kept until the pair finishes."""
         if self.epoch == 1:
             return self.s_cur
         if self._dists is None:
@@ -288,8 +290,8 @@ class EpochLearner(Replayable):
 
         self.w_hat_acc += self._s_next_in[freq[0]] / (2.0 * (L // 2))
 
-        q_in = self.graph.in_mass(ql) if bl else self._s_cur_in[cl]
-        S = rng.random(self.num_arms) < accept_probability(self._s_cur_in[cl], q_in)
+        q_in = self.graph.in_mass(ql) if bl else self.s_cur_in[cl]
+        S = rng.random(self.num_arms) < accept_probability(self.s_cur_in[cl], q_in)
         used = self.graph.out_mask[al] & S
         if used.any():
             used_cols = used[revl.arms]
@@ -309,12 +311,17 @@ class EpochLearner(Replayable):
                 f"epoch {self.epoch} has consumed {self.pos}/{self.epoch_len} rounds"
             )
         self.s_cur = self.s_next
-        self._s_cur_in = self._s_next_in
+        self.s_cur_in = self._s_next_in
         self.s_next = exp_weights(self.cum, self.params.eta)
         self.s_next.flags.writeable = False
-        self._s_next_in = self.graph.in_mass_rows(self.s_next)
+        self._s_next_in = self._in_mass(self.s_next)
         self.w_hat = self.w_hat_acc
         self.w_hat_acc = np.zeros(self.num_arms)
         self.epoch += 1
         self.pos = 0
-        self._dists = None
+        self._dists = self.s_next  # built from the ``cum`` the next pair plays
+
+    def _in_mass(self, snapshot: np.ndarray) -> np.ndarray:
+        masses = self.graph.in_mass_rows(snapshot)
+        masses.flags.writeable = False
+        return masses

@@ -60,6 +60,10 @@ def run_checks(level: str = "quick", names: Iterable[str] | None = None,
     if level not in ("quick", "full"):
         raise ValueError(f"level must be quick or full, got {level!r}")
     wanted = set(names) if names is not None else None
+    if wanted:
+        missing = wanted - set(check_names())
+        if missing:
+            raise ValueError(f"unknown checks: {sorted(missing)}")
     results = []
     for name, full_fn, quick_fn in _CHECKS:
         if wanted is not None and name not in wanted:
@@ -68,8 +72,4 @@ def run_checks(level: str = "quick", names: Iterable[str] | None = None,
         res = fn()
         echo(res.line())
         results.append(res)
-    if wanted:
-        missing = wanted - set(check_names())
-        if missing:
-            raise ValueError(f"unknown checks: {sorted(missing)}")
     return results

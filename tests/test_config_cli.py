@@ -229,5 +229,21 @@ class TestCli:
                      "--only", "concentration-events"]) == 0
         assert "[PASS] 04 concentration-events" in capsys.readouterr().out
 
+    def test_verify_rejects_unknown_names_before_running_any(self, monkeypatch):
+        from crossbandit import verify
+        from crossbandit.acceptance import CheckResult
+
+        calls = []
+
+        def record():
+            calls.append(1)
+            return CheckResult(name="recorded", passed=True, detail="", seconds=0.0)
+
+        monkeypatch.setattr(verify, "_CHECKS",
+                            [(name, record, record) for name in verify.check_names()])
+        with pytest.raises(ValueError, match="typo"):
+            verify.run_checks("full", names=["horizon-scaling", "typo"])
+        assert calls == []
+
     def test_verify_unknown_check_name(self, capsys):
         assert main(["verify", "--only", "banana"]) == 2

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields
 
@@ -8,7 +9,6 @@ from crossbandit import harness
 from crossbandit.diagnostics import (
     EpochDiag,
     _ratio_extremes,
-    epoch_diagnostics,
     graph_inverse_bound,
 )
 from crossbandit.graph import GraphSpec, build_graph
@@ -25,6 +25,12 @@ from crossbandit.harness import (
 from crossbandit.simplex import tilt
 
 NU = (0.4, 0.3, 0.2, 0.1)
+NDJSON_DIAG_KEYS = {"F", "L", "Q", "beta_min", "beta_max", "tilde_max", "ptilde_min",
+                    "ptilde_max", "snapshot_rounds", "graph_inv_lhs", "graph_inv_rhs"}
+
+
+def epoch_reports(trace):
+    return [er.diag for er in trace.epochs if er.diag is not None]
 
 
 def diag_config(**kw):
@@ -76,7 +82,7 @@ class TestEpochDiagnostics:
     def test_uniform_snapshots_have_exact_importance(self):
         res = run(diag_config(oracle=OracleSpec(kind="stochastic_gap", gap=0.0,
                                                 base=0.5, best_stride=1)))
-        reports = epoch_diagnostics(res.traces[0])
+        reports = epoch_reports(res.traces[0])
         # early epochs keep uniform snapshots: w_e(a) = 1/(2K) exactly
         first = reports[0]
         assert np.allclose(first.w_exact, 1 / 16)
@@ -86,7 +92,7 @@ class TestEpochDiagnostics:
         np.save(path, np.zeros((512, 4, 8)))
         cfg = diag_config(oracle=OracleSpec(kind="table", table_path=str(path)))
         res = run(cfg)
-        reports = epoch_diagnostics(res.traces[0])
+        reports = epoch_reports(res.traces[0])
         for r in reports:
             assert r.bounded_ok and r.importance_ok
             assert r.tilde_max == 0.0
@@ -94,15 +100,25 @@ class TestEpochDiagnostics:
             assert r.ptilde_ratio_max == pytest.approx(1.0)
             assert r.beta_min == pytest.approx(r.beta_max)
 
-    def test_flags_attached_to_trace(self):
-        res = run(diag_config())
-        er = res.traces[0].epochs[3]
-        assert set(er.diag) >= {"F", "L", "Q", "beta_min", "beta_max",
-                                "snapshot_rounds", "graph_inv_lhs"}
+    def test_flags_attached_to_trace(self, tmp_path):
+        trace = run(diag_config()).traces[0]
+        assert [er.diag is not None for er in trace.epochs] == [False] + [True] * 7
+        path = tmp_path / "trace.ndjson"
+        trace.write_ndjson(path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        epochs = lines[1 + trace.horizon:]
+        assert [e["e"] for e in epochs] == [er.epoch for er in trace.epochs]
+        assert set(epochs[0]) & NDJSON_DIAG_KEYS == set()
+        er, rec = trace.epochs[3], epochs[3]
+        assert set(rec) >= NDJSON_DIAG_KEYS
+        assert (rec["F"], rec["L"], rec["Q"]) == (
+            er.diag.importance_ok, er.diag.bounded_ok, er.diag.all_ok_so_far)
+        assert (rec["ptilde_min"], rec["snapshot_rounds"], rec["graph_inv_rhs"]) == (
+            er.diag.ptilde_ratio_min, er.diag.snapshot_rounds, er.diag.graph_inv_rhs)
 
     def test_graph_inverse_lhs_below_bound_on_run(self):
         res = run(diag_config())
-        reports = epoch_diagnostics(res.traces[0])
+        reports = epoch_reports(res.traces[0])
         for r in reports:
             assert r.graph_inv_lhs <= r.graph_inv_rhs
 
@@ -111,7 +127,7 @@ class TestEpochDiagnostics:
         L, iota = 64, 1.0
         res = run(diag_config(epoch_len=L, iota=iota, gamma=4 * iota / L,
                               horizon=64 * 30))
-        reports = epoch_diagnostics(res.traces[0])
+        reports = epoch_reports(res.traces[0])
         for r in reports:
             if r.importance_ok:
                 assert r.beta_min >= 0.5 - 1e-9
@@ -128,17 +144,12 @@ class TestEpochDiagnostics:
         out_mask = res.graph.out_mask
         assert not (tr.used_mask & ~out_mask[tr.arms]).any()
         for er in tr.epochs:
-            assert ("F" in er.diag) == (er.epoch >= 2)
-            if er.epoch >= 2:
-                assert set(er.diag) >= {"F", "L", "Q", "beta_min", "beta_max",
-                                        "tilde_max", "ptilde_min", "ptilde_max",
-                                        "snapshot_rounds", "graph_inv_lhs",
-                                        "graph_inv_rhs"}
+            assert isinstance(er.diag, EpochDiag) == (er.epoch >= 2)
 
     def test_requires_diagnostics_trace(self):
-        res = run(diag_config(diagnostics=False))
-        with pytest.raises(ValueError, match="diagnostics"):
-            epoch_diagnostics(res.traces[0])
+        trace = run(diag_config(diagnostics=False)).traces[0]
+        assert len(trace.epochs) == 8
+        assert all(er.diag is er.s_cur is er.s_next is None for er in trace.epochs)
 
 
 def reference_ratio_extremes(p_tilde, snapshot):
@@ -199,7 +210,7 @@ def replay_diagnostics(trace, config, graph):
 def assert_reports_match_replay(res):
     assert res.traces
     for trace in res.traces:
-        got = epoch_diagnostics(trace)
+        got = epoch_reports(trace)
         want = replay_diagnostics(trace, res.config, res.graph)
         assert len(got) == len(want) == sum(er.epoch >= 2 for er in trace.epochs) > 0
         for g, w in zip(got, want):
@@ -272,13 +283,12 @@ class TestRunFeedsDiagnostics:
         monkeypatch.setattr(harness, "oracle_source", counting)
         res = run(diag_config(replicates=3))
         assert len(built) == 3
-        assert all(epoch_diagnostics(tr) for tr in res.traces)
+        assert all(epoch_reports(tr) for tr in res.traces)
 
     @pytest.mark.parametrize("mode", ["auto", "manual"])
     def test_zero_horizon_runs_with_no_reports(self, mode):
         res = run(diag_config(horizon=0, param_mode=mode))
         trace = res.traces[0]
-        assert epoch_diagnostics(trace) == []
         assert trace.epochs == []
         with pytest.raises((ValueError, ConfigError)):
             resolve_schedule(res.config, res.graph)  # T = 0 has no schedule
@@ -286,4 +296,4 @@ class TestRunFeedsDiagnostics:
 
     def test_non_epoch_learner_has_empty_reports(self):
         res = run(diag_config(algo="known"))
-        assert epoch_diagnostics(res.traces[0]) == []
+        assert res.traces[0].epochs == []

@@ -86,6 +86,12 @@ class TestTableOracle:
         with pytest.raises(ValueError, match="line 4"):
             TableOracle.from_csv(path)
 
+    def test_csv_non_numeric_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        path.write_text("t,c,a,loss\n0,0,0,0.2\n0,0,1,abc\n")
+        with pytest.raises(ValueError, match=f"{path} line 3: .*'abc'"):
+            TableOracle.from_csv(path)
+
     def test_npy_with_nan_rejected(self):
         with pytest.raises(ValueError, match="lie in"):
             TableOracle(np.array([[[0.5, np.nan]]]))

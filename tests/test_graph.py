@@ -197,6 +197,12 @@ class TestAdjacencyFile:
         with pytest.raises(ValueError, match="empty"):
             load_adjacency(path)
 
+    def test_non_integer_token_names_file_and_line(self, tmp_path):
+        path = tmp_path / "adj.txt"
+        path.write_text("0 1\n\n1 x\n")
+        with pytest.raises(ValueError, match=f"{path} line 3: .*'1 x'"):
+            load_adjacency(path)
+
     def test_out_of_range_neighbor_rejected(self, tmp_path):
         path = tmp_path / "adj.txt"
         path.write_text("0 5\n1\n")

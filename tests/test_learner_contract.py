@@ -143,12 +143,35 @@ def test_the_policy_table_is_built_once_per_round(monkeypatch, algo, trace_level
         rows = sum(totals.ndim == 1 for totals, _ in calls)
         tables = sum(totals.ndim == 2 for totals, _ in calls)
         assert rows + tables == len(calls)
-        if trace_level == "light":  # one row per FTRL round, one snapshot per epoch end
-            assert (rows, tables) == (T - L, T // L)
-        else:  # the traced table per pair serves both rounds' rows
-            assert (rows, tables) == (0, (T - L) // 2 + T // L)
+        # One snapshot per epoch end, which the next pair also plays from.
+        if trace_level == "light":  # one row per other FTRL round
+            assert (rows, tables) == (T - L - 2 * (T // L - 1), T // L)
+        else:  # the traced table per other pair serves both rounds' rows
+            assert (rows, tables) == (0, (T - L) // 2 + 1)
     else:  # one row per update, and at most one table when the learner is built
         assert T <= len(calls) <= T + 1
+
+
+def test_diagnostics_read_the_learners_in_mass_table(monkeypatch):
+    real = FeedbackGraph.in_mass_rows
+    calls = []
+
+    def counted(self, P):
+        calls.append(P.shape)
+        return real(self, P)
+
+    monkeypatch.setattr(FeedbackGraph, "in_mass_rows", counted)
+    config = RunConfig(graph=GraphSpec(kind="disjoint_cliques", clique_sizes=(4, 4, 4, 4)),
+                       oracle=OracleSpec(kind="stochastic_gap"), num_contexts=8,
+                       horizon=1024, algo="unknown", seed=0, param_mode="manual",
+                       epoch_len=64, eta=0.05, gamma=0.05, iota=6.0)
+    counts = []
+    for diagnostics in (False, True):
+        calls.clear()
+        trace = run_replicate(validate_config(replace(config, diagnostics=diagnostics)), 0)
+        counts.append(len(calls))
+    assert all(er.diag is not None for er in trace.epochs[1:])
+    assert counts[0] == counts[1] == 2 + 1024 // 64  # the learner's two, one per epoch end
 
 
 def test_the_known_learners_table_is_read_only():

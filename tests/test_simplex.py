@@ -149,3 +149,8 @@ class TestCheckSimplex:
             check_simplex(np.array([0.5, 0.6]))
         with pytest.raises(ValueError):
             check_simplex(np.array([0.5, np.nan]))
+
+    def test_reports_the_sum_as_a_plain_float(self):
+        with pytest.raises(ValueError) as info:
+            check_simplex([1.0, 1.0])
+        assert str(info.value) == "probabilities sum to 2.0, not 1 within 1e-09"

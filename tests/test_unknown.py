@@ -377,8 +377,8 @@ class PairTableLearner(EpochLearner):
         else:
             cf, cl, al, bl, revl, loss_offset = c2, c1, a1, b1, rev1, 0
         self.w_hat_acc += self._s_next_in[cf] / (2.0 * (L // 2))
-        q_in = self._pair_in[cl] if bl else self._s_cur_in[cl]
-        S = rng.random(self.num_arms) < accept_probability(self._s_cur_in[cl], q_in)
+        q_in = self._pair_in[cl] if bl else self.s_cur_in[cl]
+        S = rng.random(self.num_arms) < accept_probability(self.s_cur_in[cl], q_in)
         used = self.graph.out_mask[al] & S
         used_cols = used[revl.arms]
         arms_used = revl.arms[used_cols]
