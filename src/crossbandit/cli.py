@@ -5,8 +5,8 @@
     crossbandit verify --level quick|full [--only name,name]
     crossbandit graph-info --spec cliques:4x4 | --file adjacency.txt
 
-Replicate parallelism is controlled by the CROSSBANDIT_WORKERS environment
-variable (default 1). All randomness flows from the config's master seed.
+Replicates run one after another in this process. All randomness flows from
+the config's master seed.
 """
 
 from __future__ import annotations

@@ -116,11 +116,6 @@ class LossOracle:
             raise ValueError(f"arm {a} out of range [0, {self.num_arms})")
         return float(self.loss_slice(t)[c, a])
 
-    def __setstate__(self, state: dict) -> None:
-        # Unpickled arrays are writeable: a copy's tables are made read-only again.
-        vars(self).update({k: _read_only(v) if isinstance(v, np.ndarray) else v
-                           for k, v in state.items()})
-
 
 def reveal(oracle: LossOracle, graph: FeedbackGraph, t: int, played_arm: int) -> Reveal:
     """Exactly the cross-learning feedback set for one round."""
@@ -197,9 +192,6 @@ class _ChunkedOracle(LossOracle):
 
     def _make_chunk(self, j: int) -> np.ndarray:
         raise NotImplementedError
-
-    def __getstate__(self):
-        return {**vars(self), "_cache": {}}  # a copy rebuilds its chunk
 
     def loss_slice(self, t: int) -> np.ndarray:
         j = t // self._chunk_len

@@ -87,11 +87,6 @@ class FeedbackGraph:
         if not 1 <= self.alpha <= num_arms:
             raise ValueError(f"alpha={alpha} outside [1, {num_arms}]")
 
-    def __reduce__(self):
-        # Pickled as its rows and cached alpha, so a copy sent to a worker
-        # process comes back with read-only masks and no independence search.
-        return (FeedbackGraph, (self.out_neighbors, self.alpha))
-
     def has_all_self_loops(self) -> bool:
         return all(self.self_loops)
 

@@ -3,8 +3,9 @@
 The harness owns everything the learners must not see: the context
 distribution used for exact diagnostics, the loss rows of the drawn contexts
 that fix the hindsight comparator, and all seeding. Every run is a
-deterministic function of (config, seed): replicate streams are split off the
-master seed, so results do not depend on scheduling. ``validate_config`` does
+deterministic function of (config, seed): each replicate's streams are split
+off the master seed by its index, so a replicate's trace does not depend on
+the other replicates or on the order they run in. ``validate_config`` does
 every check and file read once and returns a ``RunPlan``; replicates run from
 the plan and derive nothing again.
 """
@@ -14,10 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +49,6 @@ from .unknown import (
 ALGOS = ("known", "unknown", "per_context_exp3g", "pooled_exp3g", "uniform")
 ORACLE_KINDS = ("stochastic_gap", "adversarial_shift", "auction", "table")
 
-WORKERS_ENV_VAR = "CROSSBANDIT_WORKERS"
 # Rounds formatted per NDJSON write: large enough to amortise the write,
 # small enough that a full trace's text never sits in memory at once.
 _NDJSON_BLOCK = 1024
@@ -121,8 +119,7 @@ def resolve_schedule(config: RunConfig, graph: FeedbackGraph) -> ParamSchedule:
                                    tuned_scale=config.tuned_scale, fit_horizon=True)
         iota = config.iota if config.iota is not None else 2.0 * math.log(8.0 * K * T * T)
         schedule = ParamSchedule(iota=float(iota), epoch_len=int(config.epoch_len),
-                                 gamma=float(config.gamma), eta=float(config.eta),
-                                 tuned_scale=config.tuned_scale)
+                                 gamma=float(config.gamma), eta=float(config.eta))
     except ValueError as exc:
         raise ConfigError(f"{config.param_mode} schedule: {exc}") from exc
     L = schedule.epoch_len
@@ -134,23 +131,16 @@ def resolve_schedule(config: RunConfig, graph: FeedbackGraph) -> ParamSchedule:
     return schedule
 
 
-def _shared(oracle: LossOracle, seed: int) -> LossOracle:
-    return oracle
-
-
-def _uniform_bid_auction(values, bids, num_rounds: int, seed: int) -> AuctionOracle:
-    return AuctionOracle(values, bids, uniform_opposing_bids(num_rounds, seed))
-
-
-def oracle_source(spec: OracleSpec, T: int, M: int, K: int) -> partial:
+def oracle_source(spec: OracleSpec, T: int, M: int, K: int) -> Callable[[int], LossOracle]:
     """Check the adversary against the run's shape and read its files. Returns
-    the picklable map from a replicate's oracle seed to its oracle; oracles
-    that ignore the seed are built here once and shared read-only."""
+    the map from a replicate's oracle seed to its oracle; oracles that ignore
+    the seed are built here once and shared read-only."""
     if spec.kind == "stochastic_gap":
         means = gap_means(M, K, base=spec.base, gap=spec.gap, best_stride=spec.best_stride)
-        return partial(StochasticGapOracle, means, T)
+        return lambda seed: StochasticGapOracle(means, T, seed)
     if spec.kind == "adversarial_shift":
-        return partial(_shared, AdversarialShiftOracle(T, M, K, low=spec.low, high=spec.high))
+        oracle = AdversarialShiftOracle(T, M, K, low=spec.low, high=spec.high)
+        return lambda seed: oracle
     if spec.kind == "auction":
         values = auction_grid("value_grid", spec.value_grid or np.linspace(0.0, 1.0, M))
         bids = auction_grid("bid_grid", spec.bid_grid or np.linspace(0.0, 1.0, K))
@@ -158,28 +148,29 @@ def oracle_source(spec: OracleSpec, T: int, M: int, K: int) -> partial:
             raise ValueError(f"auction grids have {len(values)} values and {len(bids)} bids, "
                              f"need M={M} and K={K}")
         if not spec.bids_path:
-            return partial(_uniform_bid_auction, values, bids, T)
+            return lambda seed: AuctionOracle(values, bids, uniform_opposing_bids(T, seed))
         opposing = load_opposing_bids(spec.bids_path)
         if len(opposing) < T:
             raise ValueError(f"opposing-bid sequence has {len(opposing)} rounds, need {T}")
-        return partial(_shared, AuctionOracle(values, bids, opposing))
+        oracle = AuctionOracle(values, bids, opposing)
+        return lambda seed: oracle
     load = TableOracle.from_npy if spec.table_path.endswith(".npy") else TableOracle.from_csv
     oracle = load(spec.table_path)
     if oracle.num_rounds < T or oracle.num_contexts != M or oracle.num_arms != K:
         raise ValueError(f"loss table shape ({oracle.num_rounds}, {oracle.num_contexts}, "
                          f"{oracle.num_arms}) incompatible with T={T}, M={M}, K={K}")
-    return partial(_shared, oracle)
+    return lambda seed: oracle
 
 
 @dataclass(frozen=True, eq=False)
 class RunPlan:
-    """A validated, picklable run; ``schedule`` is None unless an epoch learner runs."""
+    """A validated run; ``schedule`` is None unless an epoch learner runs."""
 
     config: RunConfig
     graph: FeedbackGraph
     nu: np.ndarray
     schedule: ParamSchedule | None
-    oracle: partial  # oracle seed -> LossOracle
+    oracle: Callable[[int], LossOracle]  # oracle seed -> LossOracle
 
 
 def validate_config(config: RunConfig) -> RunPlan:
@@ -501,31 +492,22 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
     return trace
 
 
-def _replicate_job(args):
-    plan, replicate = args
-    trace = run_replicate(plan, replicate)
-    return trace, summarize_regret(trace)
-
-
 def run(config: RunConfig, keep_traces: bool = True) -> RunResult:
     """Validate ``config`` and run its plan."""
     return run_plan(validate_config(config), keep_traces)
 
 
 def run_plan(plan: RunPlan, keep_traces: bool = True) -> RunResult:
-    """Run every replicate of a plan; deterministic merge by replicate index."""
-    config = plan.config
-    workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
-    jobs = [(plan, r) for r in range(config.replicates)]
-    if workers > 1 and config.replicates > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_job, jobs))
-    else:
-        results = [_replicate_job(j) for j in jobs]
-    traces = [tr for tr, _ in results]
-    summaries = [s for _, s in results]
-    return RunResult(config=config, graph=plan.graph, summaries=summaries,
-                     traces=traces if keep_traces else [])
+    """Run and summarise every replicate of a plan in replicate order. Without
+    ``keep_traces`` each trace is dropped once it is summarised."""
+    summaries, traces = [], []
+    for r in range(plan.config.replicates):
+        trace = run_replicate(plan, r)
+        summaries.append(summarize_regret(trace))
+        if keep_traces:
+            traces.append(trace)
+    return RunResult(config=plan.config, graph=plan.graph, summaries=summaries,
+                     traces=traces)
 
 
 @dataclass
@@ -544,6 +526,8 @@ def fit_scaling(points) -> ScalingFit:
     for x, y in pts:
         if x <= 0 or y <= 0:
             raise ValueError(f"nonpositive point ({x}, {y}) is degenerate for a log-log fit")
+    if len({x for x, _ in pts}) < 2:
+        raise ValueError("need at least two distinct x values to fit a slope")
     lx = np.log([x for x, _ in pts])
     ly = np.log([y for _, y in pts])
     xc = lx - lx.mean()
@@ -592,6 +576,10 @@ def config_for_axis(config: RunConfig, axis: str, value: int) -> RunConfig:
 
 def run_sweep(config: RunConfig, axis: str, values) -> SweepResult:
     """Run ``config`` at each value of ``axis``, validating every point first."""
+    values = list(values)
+    if axis in ("T", "alpha") and (len(set(values)) < 3 or min(values) <= 0):
+        raise ConfigError(f"a {axis} sweep fits a log-log slope: it needs at least three "
+                          f"distinct positive values, got {values}")
     points = [(v, validate_config(config_for_axis(config, axis, v))) for v in values]
     rows = []
     for v, plan in points:

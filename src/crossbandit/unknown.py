@@ -32,16 +32,13 @@ from .simplex import exp_weights, sample_arm
 class ParamSchedule:
     """Learner parameters: epoch length, implicit exploration, learning rate.
 
-    ``iota`` is the confidence parameter the other values were derived from;
-    ``tuned_scale`` records the multiplier applied to gamma (1.0 means the
-    untouched schedule).
+    ``iota`` is the confidence parameter the other values were derived from.
     """
 
     iota: float
     epoch_len: int
     gamma: float
     eta: float
-    tuned_scale: float = 1.0
 
     def __post_init__(self):
         if self.epoch_len < 2 or self.epoch_len % 2 != 0:
@@ -107,17 +104,15 @@ def schedule_params(K: int, T: int, alpha: int, tuned_scale: float = 1.0,
         L = min(candidates, key=lambda d: (abs(d - raw), d))
     gamma = tuned_scale * 16.0 * iota / L
     eta = gamma / (2.0 * (2.0 * L * gamma + iota))
-    return ParamSchedule(iota=iota, epoch_len=L, gamma=gamma, eta=eta,
-                         tuned_scale=tuned_scale)
+    return ParamSchedule(iota=iota, epoch_len=L, gamma=gamma, eta=eta)
 
 
-def tuned_schedule(K: int, T: int, alpha: int, eta_scale: float = 0.5,
-                   gamma_scale: float = 2.0) -> ParamSchedule:
+def tuned_schedule(K: int, T: int, alpha: int) -> ParamSchedule:
     """Schedule with the same asymptotic shapes but constants sized for
     simulation-scale horizons.
 
-    L ~ sqrt(alpha T) snapped to an even divisor of T, eta = eta_scale *
-    sqrt(log K / (alpha T)), gamma = gamma_scale / L. The horizon-formula
+    L ~ sqrt(alpha T) snapped to an even divisor of T, eta = 0.5 *
+    sqrt(log K / (alpha T)), gamma = 2 / L. The horizon-formula
     schedule's constants cap the learning rate at 1/(4L), which keeps the
     policy near uniform at small T; scaling experiments run this variant.
     """
@@ -131,8 +126,8 @@ def tuned_schedule(K: int, T: int, alpha: int, eta_scale: float = 0.5,
     return ParamSchedule(
         iota=2.0 * math.log(8.0 * K * T * T),
         epoch_len=L,
-        gamma=gamma_scale / L,
-        eta=eta_scale * math.sqrt(math.log(K) / (alpha * T)),
+        gamma=2.0 / L,
+        eta=0.5 * math.sqrt(math.log(K) / (alpha * T)),
     )
 
 
@@ -209,7 +204,7 @@ class EpochLearner(Replayable):
         self.s_cur = uniform             # snapshot of the running epoch
         self.s_next = uniform            # snapshot already fixed for the next epoch
         self.s_cur_in = self._in_mass(self.s_cur)
-        self._s_next_in = self._in_mass(self.s_next)
+        self._s_next_in = self.s_cur_in  # same read-only table, same masses
         self.w_hat = np.zeros(K)         # importance estimate applied this epoch
         self.w_hat_acc = np.zeros(K)     # accumulator for the next epoch's estimate
 

@@ -261,8 +261,7 @@ class TestRunReportsMatchReplay:
             param_mode="auto", tuned_scale=0.02, eta=None, gamma=None,
             epoch_len=None, iota=None)))
 
-    def test_two_replicates_on_two_workers(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKERS_ENV_VAR, "2")
+    def test_two_replicates(self):
         res = run(diag_config(replicates=2))
         assert [tr.replicate for tr in res.traces] == [0, 1]
         assert_reports_match_replay(res)

@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -258,17 +257,6 @@ def test_loss_slices_are_read_only_and_repeat(kind):
         assert first.tobytes() == _every_oracle_kind()[kind].loss_slice(t).tobytes()
         with pytest.raises(ValueError):
             first[0, 0] = 0.5
-
-
-@pytest.mark.parametrize("kind", range(4))
-def test_pickled_oracles_keep_read_only_slices(kind):
-    # a run plan shares one oracle, pickled whole, with worker processes
-    oracle = _every_oracle_kind()[kind]
-    oracle.loss_slice(5)  # a chunked oracle's cached chunk is not pickled
-    copy = pickle.loads(pickle.dumps(oracle))
-    for t in (5, 0):
-        assert not copy.loss_slice(t).flags.writeable
-        assert copy.loss_slice(t).tobytes() == oracle.loss_slice(t).tobytes()
 
 
 def test_table_oracle_leaves_the_callers_tensor_writeable():

@@ -3,9 +3,7 @@
 The configs of ``acceptance._determinism_configs`` cover every algorithm,
 oracle kind and trace level, diagnostics included, and run in a few seconds
 at their own horizons. A change to these digests is a change of the output
-format or of the random streams, and must be made on purpose. Each config is
-run in-process and with two worker processes: the bytes must not depend on
-the number of workers.
+format or of the random streams, and must be made on purpose.
 """
 
 import hashlib
@@ -13,7 +11,7 @@ import hashlib
 import pytest
 
 from crossbandit.acceptance import _determinism_configs
-from crossbandit.harness import WORKERS_ENV_VAR, run, write_curves_csv, write_report_json
+from crossbandit.harness import run, write_curves_csv, write_report_json
 
 SEED = 21
 
@@ -59,10 +57,7 @@ def test_every_config_has_golden_digests():
     assert len(_determinism_configs(SEED)) == len(GOLDEN)
 
 
-@pytest.mark.parametrize("idx,workers", [
-    pytest.param(idx, workers, id=str(idx) if workers == "1" else f"{idx}-workers{workers}")
-    for workers in ("1", "2") for idx in sorted(GOLDEN)])
-def test_output_bytes_match_golden(idx, workers, tmp_path, monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+@pytest.mark.parametrize("idx", sorted(GOLDEN))
+def test_output_bytes_match_golden(idx, tmp_path):
     config = _determinism_configs(SEED)[idx]
     assert _write_outputs(config, tmp_path) == GOLDEN[idx]

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from crossbandit.harness import (
     oracle_source,
     regret_curves,
     run,
+    run_plan,
+    run_replicate,
     run_sweep,
     summarize_regret,
     validate_config,
@@ -290,9 +293,24 @@ class TestScalingFit:
             fit_scaling([(1, 1), (2, 2)])
         with pytest.raises(ValueError, match="nonpositive"):
             fit_scaling([(1, 1.0), (2, 0.0), (3, 2.0)])
+        with pytest.raises(ValueError, match="distinct"):
+            fit_scaling([(1024, 1.0), (1024, 2.0), (1024, 3.0)])
 
 
 class TestSweep:
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """Replicate indices passed to ``run_replicate``, in call order."""
+        ran = []
+        real = harness.run_replicate
+
+        def counting(plan, replicate):
+            ran.append(replicate)
+            return real(plan, replicate)
+
+        monkeypatch.setattr(harness, "run_replicate", counting)
+        return ran
+
     def test_horizon_sweep_shape(self):
         cfg = small_config(horizon=64, replicates=2)
         sweep = run_sweep(cfg, "T", [64, 128, 256])
@@ -324,15 +342,7 @@ class TestSweep:
         with pytest.raises(ConfigError, match="cliques"):
             config_for_axis(cfg, "alpha", 2)
 
-    def test_every_point_is_validated_before_the_first_runs(self, monkeypatch):
-        ran = []
-        real = harness.run_replicate
-
-        def counting(plan, replicate):
-            ran.append(replicate)
-            return real(plan, replicate)
-
-        monkeypatch.setattr(harness, "run_replicate", counting)
+    def test_every_point_is_validated_before_the_first_runs(self, ran):
         cfg = small_config(graph=GraphSpec(kind="disjoint_cliques", clique_sizes=(4, 4, 4, 4)),
                            horizon=64)
         with pytest.raises(ConfigError, match="divide"):
@@ -340,6 +350,16 @@ class TestSweep:
         assert ran == []
         run_sweep(cfg, "alpha", [1, 2, 4])
         assert len(ran) == 3 * cfg.replicates
+
+    @pytest.mark.parametrize("axis,values", [
+        ("T", [64, 128]), ("T", [64, 64, 64]), ("T", [0, 64, 128]),
+        ("alpha", [2, 4]), ("alpha", [-1, 1, 2])])
+    def test_an_unfittable_slope_sweep_runs_no_point(self, ran, axis, values):
+        cfg = small_config(graph=GraphSpec(kind="disjoint_cliques", clique_sizes=(4, 4, 4, 4)),
+                           horizon=64)
+        with pytest.raises(ConfigError, match="three distinct positive values"):
+            run_sweep(cfg, axis, values)
+        assert ran == []
 
 
 def _table_spec(tmp, rounds):
@@ -402,8 +422,7 @@ class TestRegretCurves:
         assert_matches_replay(run(cfg).traces[0], cfg)
 
     @pytest.mark.parametrize("oracle", ["table", "bids"])
-    def test_match_the_replay_on_two_workers(self, tmp_path, monkeypatch, oracle):
-        monkeypatch.setenv(harness.WORKERS_ENV_VAR, "2")
+    def test_match_the_replay_on_a_shared_file_oracle(self, tmp_path, oracle):
         spec = (_table_spec if oracle == "table" else _bids_spec)(tmp_path, rounds=128)
         cfg = small_config(oracle=spec, horizon=128, replicates=2)
         for trace in run(cfg).traces:
@@ -413,6 +432,36 @@ class TestRegretCurves:
         trace = run(small_config(horizon=0, replicates=1)).traces[0]
         assert trace.best_inst.shape == (0,)
         assert [c.shape for c in regret_curves(trace)] == [(0,), (0,)]
+
+
+def _recorded(value):
+    """Everything a trace records, as plain comparable values: arrays by
+    dtype, shape and bytes, scalars by repr."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if is_dataclass(value):
+        return [(f.name, _recorded(getattr(value, f.name))) for f in fields(value)]
+    if isinstance(value, list):
+        return [_recorded(v) for v in value]
+    return repr(value)
+
+
+@pytest.mark.parametrize("oracle", ["gap", "shift", "auction", "bids", "table"])
+def test_a_replicate_run_alone_matches_its_trace_in_the_run(tmp_path, monkeypatch, oracle):
+    # Chunks of 8 rounds, so the chunked oracles switch chunks within a
+    # replicate and a shared one starts each replicate with another's chunk.
+    monkeypatch.setattr(environment, "_CHUNK_BUDGET", 8 * 4 * 4)
+    spec = {"gap": GAP, "shift": OracleSpec(kind="adversarial_shift"),
+            "auction": OracleSpec(kind="auction"), "bids": _bids_spec(tmp_path, rounds=128),
+            "table": _table_spec(tmp_path, rounds=128)}[oracle]
+    plan = validate_config(small_config(
+        oracle=spec, algo="unknown", horizon=128, replicates=3, param_mode="manual",
+        epoch_len=32, eta=0.05, gamma=0.05, iota=6.0, trace_level="full", diagnostics=True))
+    if isinstance(plan.oracle(0), environment._ChunkedOracle):
+        assert plan.oracle(0)._chunk_len == 8
+    traces = run_plan(plan).traces
+    for r in reversed(range(3)):
+        assert _recorded(run_replicate(plan, r)) == _recorded(traces[r])
 
 
 class TestOutputs:

@@ -171,7 +171,7 @@ def test_diagnostics_read_the_learners_in_mass_table(monkeypatch):
         trace = run_replicate(validate_config(replace(config, diagnostics=diagnostics)), 0)
         counts.append(len(calls))
     assert all(er.diag is not None for er in trace.epochs[1:])
-    assert counts[0] == counts[1] == 2 + 1024 // 64  # the learner's two, one per epoch end
+    assert counts[0] == counts[1] == 1 + 1024 // 64  # the learner's first, one per epoch end
 
 
 def test_the_known_learners_table_is_read_only():

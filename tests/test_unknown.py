@@ -37,7 +37,6 @@ class TestSchedule:
         assert s.epoch_len == 504  # nearest even integer to the formula value
         assert s.gamma == pytest.approx(16 * iota / 504, rel=1e-12)
         assert s.eta == pytest.approx(s.gamma / (2 * (2 * 504 * s.gamma + iota)), rel=1e-12)
-        assert s.tuned_scale == 1.0
 
     def test_epoch_len_grows_with_alpha(self):
         T = 2 ** 22  # large enough that even-rounding noise vanishes
