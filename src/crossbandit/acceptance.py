@@ -47,6 +47,8 @@ def _timed(name: str, passed: bool, detail: str, t0: float) -> CheckResult:
 
 
 _NU4 = (0.4, 0.3, 0.2, 0.1)
+# Replays of a frozen round run as rows of one batched learner, this many at a time.
+_REPLAY_BATCH = 1000
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -67,27 +69,34 @@ def check_estimator_unbiasedness(n_replays: int = 100_000, seed: int = 11) -> Ch
         warm_oracle = StochasticGapOracle(gap_means(M, K, best_stride=3),
                                           num_rounds=300, seed=seed)
         learner = KnownDistLearner(graph, nu, eta=0.05, check_inverse_bound=False)
-        for t in range(300):
-            c = sample_context(nu, rng)
-            a = learner.act(t, c, rng).arm
-            learner.update(reveal(warm_oracle, graph, t, a))
+        for t in range(300):  # a batch of one: one context and one arm uniform per round
+            c = sample_context(nu, rng.random(1))
+            a = learner.act(t, c, rng.random(1)).arm[0]
+            learner.update([reveal(warm_oracle, graph, t, a)])
 
         # Dense loss table for the replayed round.
         losses = 0.05 + 0.9 * rng.random((M, K))
         dense = TableOracle(losses[None, :, :])
-        s0, t_frozen = learner.state(), learner.t
-        cum0 = learner.cum.copy()
-        w = learner.importance()
+        t_frozen = learner.t
+        cum0 = learner.cum[0].copy()
+        w = learner.importance()[0]
         cum_sum = np.zeros_like(cum0)
         obs_counts = np.zeros(K)
-        for _ in range(n_replays):
-            learner.restore(s0)
-            c = sample_context(nu, rng)
-            a = learner.act(t_frozen, c, rng).arm
-            rev = reveal(dense, graph, 0, a)
-            learner.update(rev)
-            obs_counts[rev.arms] += 1
-            cum_sum += learner.cum
+        for done in range(0, n_replays, _REPLAY_BATCH):
+            # Each row of a batch replays the frozen round once, with the
+            # context and arm uniforms one replay alone would draw.
+            n = min(_REPLAY_BATCH, n_replays - done)
+            replays = KnownDistLearner(graph, nu, eta=0.05, check_inverse_bound=False,
+                                       replicates=n)
+            replays.cum[:] = learner.cum
+            replays.t = t_frozen
+            u = rng.random(2 * n)
+            arms = replays.act(t_frozen, sample_context(nu, u[0::2]), u[1::2]).arm
+            revs = [reveal(dense, graph, 0, a) for a in arms.tolist()]
+            replays.update(revs)
+            for rev, cum in zip(revs, replays.cum):  # in replay order
+                obs_counts[rev.arms] += 1
+                cum_sum += cum
 
         mean_est = cum_sum / n_replays - cum0
         p_hat = obs_counts / n_replays
@@ -122,7 +131,7 @@ def _warm_epoch_learner(seed: int, epoch_len: int = 32, stop_epoch: int = 3,
     learner = EpochLearner(graph, M, params)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA]))
     for t in range((stop_epoch - 1) * epoch_len + stop_pos):
-        c = sample_context(nu, rng)
+        c = sample_context(nu, rng.random())
         a = learner.act(t, c, rng).arm
         learner.update(reveal(oracle, graph, t, a), rng)
     return graph, nu, oracle, learner, rng
@@ -145,7 +154,7 @@ def check_used_feedback_marginal(n_pairs: int = 100_000, seed: int = 12) -> Chec
     for _ in range(n_pairs):
         learner.restore(s0)
         for offset in range(2):
-            c = sample_context(nu, rng)
+            c = sample_context(nu, rng.random())
             a = learner.act(t_frozen + offset, c, rng).arm
             pair = learner.update(reveal(dense, graph, offset, a), rng)
         used_counts += pair.used
@@ -177,7 +186,7 @@ def check_importance_estimate_unbiased(n_epochs: int = 10_000, seed: int = 13) -
     for _ in range(n_epochs):
         learner.restore(s0)
         for i in range(L):
-            c = sample_context(nu, rng)
+            c = sample_context(nu, rng.random())
             a = learner.act(t_frozen + i, c, rng).arm
             learner.update(reveal(oracle, graph, (t_frozen + i) % oracle.num_rounds, a), rng)
         # end_epoch fired: the fresh estimate is now the applied one

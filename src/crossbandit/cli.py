@@ -5,8 +5,10 @@
     crossbandit verify --level quick|full [--only name,name]
     crossbandit graph-info --spec cliques:4x4 | --file adjacency.txt
 
-Replicates run one after another in this process. All randomness flows from
-the config's master seed.
+Replicates run in this process: the known-distribution learner and the
+baselines play all of a run's replicates in lockstep, and the epoch learner
+plays them one after another. All randomness flows from the config's master
+seed.
 """
 
 from __future__ import annotations

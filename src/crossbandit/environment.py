@@ -11,7 +11,6 @@ keeps between calls cannot be changed through them.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,17 +23,18 @@ from .simplex import sample_arm
 _CHUNK_BUDGET = 1 << 18
 
 
-def sample_context(nu: np.ndarray, rng: np.random.Generator) -> int:
-    """One i.i.d. categorical context draw."""
-    return sample_arm(nu, rng)
+def sample_context(nu: np.ndarray, u):
+    """I.i.d. categorical context draws: the context of each uniform in
+    ``u`` (a float or an array of any shape), by inverse CDF over ``nu``."""
+    return sample_arm(nu, u)
 
 
-@dataclass(frozen=True)
-class Reveal:
+class Reveal(NamedTuple):
     """Feedback from one round: losses of N_out(played_arm) across all contexts.
 
     ``losses[c, j]`` is the loss of ``arms[j]`` under context c; nothing
-    outside the played arm's out-neighborhood is included.
+    outside the played arm's out-neighborhood is included. A tuple, because
+    a lockstep batch builds one per replicate and round.
     """
 
     t: int
@@ -49,18 +49,29 @@ class Play(NamedTuple):
     its snapshot (the rejection fallback, and every round of epoch 1).
 
     Every learner (``KnownDistLearner``, ``EpochLearner``,
-    ``GraphExp3Baseline``, ``UniformBaseline``) follows one contract. Besides
-    it, the harness reads only ``distributions()`` for full traces and, at
-    each epoch start, the epoch learner's public ``epoch``, ``w_hat``,
-    ``s_cur``, ``s_next`` and ``s_cur_in`` (the in-neighborhood masses of
-    ``s_cur``'s rows):
+    ``GraphExp3Baseline``, ``UniformBaseline``) follows one contract. The
+    known-distribution learner and the baselines are batched: they carry a
+    leading axis of R replicates, fixed when they are built, and play them in
+    lockstep; R = 1 is one replicate. The epoch learner plays one replicate.
+    Besides the contract, the harness reads only ``distributions()`` for
+    full traces and, at each epoch start, the epoch learner's public
+    ``epoch``, ``w_hat``, ``s_cur``, ``s_next`` and ``s_cur_in`` (the
+    in-neighborhood masses of ``s_cur``'s rows):
 
-    * ``act(t, c, rng) -> Play`` plays round t under context c. It draws
-      the arm from ``rng`` and leaves the learner's estimates unchanged.
-    * ``update(rev, rng) -> PairRecord | None`` folds round t's ``Reveal``
-      into the learner. The epoch learner returns the ``PairRecord`` of the
-      pair the round finished, with the arms whose losses fed its estimates;
-      every other call returns None.
+    * ``act(t, c, rng) -> Play`` (epoch learner) plays round t under context
+      c. It draws the arm from ``rng``.
+    * ``act(t, contexts, u) -> Play`` (batched learners) plays round t of
+      every replicate: replicate r under context ``contexts[r]``, with its
+      arm drawn from the uniform ``u[r]`` by ``simplex.sample_arm``. ``arm``
+      then holds R arms, ``q`` is (R, K) and ``ftrl`` is True. Replicate r's
+      arm and row depend only on its own state, context and uniform.
+    * Neither ``act`` changes the learner's estimates.
+    * ``update(rev, rng) -> PairRecord | None`` (epoch learner) folds round
+      t's ``Reveal`` into the learner and returns the ``PairRecord`` of the
+      pair the round finished, with the arms whose losses fed its
+      estimates, or None.
+    * ``update(revs) -> None`` (batched learners) folds round t's reveals,
+      one per replicate in row order, into the replicates' estimates.
     * ``state()`` and ``restore(state)`` (the known-distribution and epoch
       learners) save the whole learner and put it back, so a Monte-Carlo
       replay can run one frozen round, pair or epoch many times. A state
@@ -123,7 +134,7 @@ def reveal(oracle: LossOracle, graph: FeedbackGraph, t: int, played_arm: int) ->
         raise ValueError(f"played arm {played_arm} out of range")
     arms = graph.out_index[played_arm]
     losses = oracle.loss_slice(t)[:, arms]  # fancy indexing copies
-    return Reveal(t=t, played_arm=played_arm, arms=arms, losses=losses)
+    return Reveal(t, played_arm, arms, losses)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -197,8 +208,8 @@ class _ChunkedOracle(LossOracle):
         j = t // self._chunk_len
         chunk = self._cache.get(j)
         if chunk is None:
+            self._cache.clear()  # at most one chunk resident, also while the next is built
             chunk = _read_only(self._make_chunk(j))
-            self._cache.clear()  # keep at most one chunk resident
             self._cache[j] = chunk
         return chunk[t - j * self._chunk_len]
 

@@ -5,9 +5,12 @@ distribution used for exact diagnostics, the loss rows of the drawn contexts
 that fix the hindsight comparator, and all seeding. Every run is a
 deterministic function of (config, seed): each replicate's streams are split
 off the master seed by its index, so a replicate's trace does not depend on
-the other replicates or on the order they run in. ``validate_config`` does
-every check and file read once and returns a ``RunPlan``; replicates run from
-the plan and derive nothing again.
+the other replicates, on the order they run in, or on the batch they run in.
+``validate_config`` does every check and file read once and returns a
+``RunPlan``; replicates run from the plan and derive nothing again. The
+known-distribution learner, the Exp3-G baselines and uniform play run a
+plan's replicates in lockstep (``run_batch``); the epoch learner runs them
+one at a time (``run_replicate``).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -52,6 +55,8 @@ ORACLE_KINDS = ("stochastic_gap", "adversarial_shift", "auction", "table")
 # Rounds formatted per NDJSON write: large enough to amortise the write,
 # small enough that a full trace's text never sits in memory at once.
 _NDJSON_BLOCK = 1024
+# Rounds whose expected losses a lockstep batch computes in one product.
+_Q_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -216,23 +221,25 @@ def validate_config(config: RunConfig) -> RunPlan:
     return RunPlan(config=config, graph=graph, nu=nu, schedule=schedule, oracle=oracle)
 
 
-def make_learner(plan: RunPlan):
+def make_learner(plan: RunPlan, replicates: int = 1):
+    """The plan's learner. Every learner but the epoch learner is batched and
+    plays ``replicates`` replicates in lockstep."""
     config, graph = plan.config, plan.graph
     K, M, T = graph.num_arms, config.num_contexts, max(config.horizon, 1)
     if config.algo == "unknown":
         return EpochLearner(graph, M, plan.schedule)
     if config.algo == "uniform":
-        return UniformBaseline(graph, M)
+        return UniformBaseline(graph, M, replicates)
     eta = config.eta if config.param_mode == "manual" else None  # validated > 0 if set
     if config.algo == "known":
         return KnownDistLearner(graph, plan.nu, eta or default_learning_rate(
-            K, T, graph.alpha, scale=config.eta_scale))
+            K, T, graph.alpha, scale=config.eta_scale), replicates=replicates)
     per_context = config.algo == "per_context_exp3g"
     eta_default, gix_default = baseline_rates(K, T, graph.alpha,
                                               num_states=M if per_context else 1)
     return GraphExp3Baseline(graph, M, eta=eta or eta_default,
                              gamma_ix=gix_default if config.gamma_ix is None else config.gamma_ix,
-                             per_context=per_context)
+                             per_context=per_context, replicates=replicates)
 
 
 @dataclass
@@ -409,8 +416,38 @@ def _replicate_seeds(master_seed: int, replicate: int) -> tuple[int, np.random.G
     return oracle_seed, rng
 
 
+def _empty_trace(config: RunConfig, replicate: int, num_arms: int) -> Trace:
+    T, M, K = config.horizon, config.num_contexts, num_arms
+    return Trace(
+        algo=config.algo, seed=config.seed, replicate=replicate,
+        num_contexts=M, num_arms=K,
+        contexts=np.zeros(T, dtype=np.int32),
+        arms=np.zeros(T, dtype=np.int32),
+        p_branch=np.zeros(T, dtype=bool),
+        realized_inst=np.zeros(T),
+        expected_inst=np.zeros(T),
+        loss_sums=np.zeros((M, K)),
+        best_inst=np.zeros(T),
+        q_rows=np.zeros((T, K)) if config.trace_level == "full" else None,
+        policy_hashes=[] if config.trace_level == "full" else None,
+        used_mask=np.zeros((T, K), dtype=bool) if config.diagnostics else None,
+    )
+
+
+def _settle(trace: Trace, rows: np.ndarray) -> None:
+    """Fill what a trace derives from its rounds' (T, K) loss rows: the
+    realized losses, the per-context loss sums and the hindsight
+    comparator's losses."""
+    rounds = np.arange(trace.horizon)
+    trace.realized_inst = rows[rounds, trace.arms]
+    np.add.at(trace.loss_sums, trace.contexts, rows)  # in round order, like += per round
+    pi_star = best_policy_from_sums(trace.loss_sums)
+    trace.best_inst = rows[rounds, pi_star[trace.contexts]]
+
+
 def run_replicate(plan: RunPlan, replicate: int) -> Trace:
-    """Execute one replicate of a validated plan's full interaction loop.
+    """Execute one replicate of a validated plan's full interaction loop on
+    its own. A batched learner runs it as ``run_batch`` runs a batch of one.
 
     Each round's loss row for the drawn context is read from the oracle once
     and kept in a transient (T, K) buffer; after the last round the buffer
@@ -423,36 +460,25 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
     its ``EpochRecord``.
     """
     config, graph, nu = plan.config, plan.graph, plan.nu
-    T, M, K = config.horizon, config.num_contexts, graph.num_arms
+    if config.algo != "unknown":
+        return run_batch(plan, [replicate])[0]
+    T, K = config.horizon, graph.num_arms
     full = config.trace_level == "full"
     diag = config.diagnostics
-    trace = Trace(
-        algo=config.algo, seed=config.seed, replicate=replicate,
-        num_contexts=M, num_arms=K,
-        contexts=np.zeros(T, dtype=np.int32),
-        arms=np.zeros(T, dtype=np.int32),
-        p_branch=np.zeros(T, dtype=bool),
-        realized_inst=np.zeros(T),
-        expected_inst=np.zeros(T),
-        loss_sums=np.zeros((M, K)),
-        best_inst=np.zeros(T),
-        q_rows=np.zeros((T, K)) if full else None,
-        policy_hashes=[] if full else None,
-        used_mask=np.zeros((T, K), dtype=bool) if diag else None,
-    )
+    trace = _empty_trace(config, replicate, K)
     if T == 0:
         return trace
 
     oracle_seed, rng = _replicate_seeds(config.seed, replicate)
     oracle = plan.oracle(oracle_seed)
     learner = make_learner(plan)
-    epoch_len = plan.schedule.epoch_len if plan.schedule else 0
+    epoch_len = plan.schedule.epoch_len
     observer = (diagnostics.EpochObserver(graph, nu, plan.schedule, trace.p_branch)
-                if diag and epoch_len else None)
+                if diag else None)
     rows = np.empty((T, K))
 
     for t in range(T):
-        if epoch_len and t % epoch_len == 0:
+        if t % epoch_len == 0:
             er = EpochRecord(
                 epoch=learner.epoch, start_t=t, w_hat=learner.w_hat.copy(),
                 s_cur=learner.s_cur if diag else None,
@@ -467,7 +493,7 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
             # Hashed before act, which leaves every table unchanged: the
             # epoch learner then plays its row from the table built here.
             trace.policy_hashes.append(_digest(learner.distributions()))
-        c = sample_context(nu, rng)
+        c = sample_context(nu, rng.random())
         a, q, ftrl = learner.act(t, c, rng)
         row = oracle.loss_slice(t)[c]
         rows[t] = row
@@ -484,12 +510,85 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
             observer.add_pair(pr)
     if observer is not None:
         observer.end_epoch()
-    rounds = np.arange(T)
-    trace.realized_inst = rows[rounds, trace.arms]
-    np.add.at(trace.loss_sums, trace.contexts, rows)  # in round order, like += per round
-    pi_star = best_policy_from_sums(trace.loss_sums)
-    trace.best_inst = rows[rounds, pi_star[trace.contexts]]
+    _settle(trace, rows)
     return trace
+
+
+def _draws(rngs: list[np.random.Generator], nu: np.ndarray,
+           T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every replicate's contexts (int32) and arm uniforms for T rounds, both
+    (R, T). Each generator's stream is read as a tape in the order one
+    replicate alone draws it: per round one context uniform, then one arm
+    uniform."""
+    tape = np.stack([rng.random(2 * T) for rng in rngs])
+    contexts = sample_context(nu, tape[:, 0::2]).astype(np.int32)
+    return contexts, np.ascontiguousarray(tape[:, 1::2])
+
+
+def run_batch(plan: RunPlan, replicates: Sequence[int]) -> list[Trace]:
+    """Execute the given replicates of a plan with a batched learner in
+    lockstep: one round loop plays round t of every replicate before round
+    t + 1, and one learner holds every replicate's state on a leading axis.
+
+    A replicate's trace has the same bytes in any batch, alone included. It
+    keeps its own oracle and its own random stream (``_draws``). Every
+    product over the replicate axis is a stacked ``np.matmul``, which gives
+    each replicate the bits of its own product. The loss rows are buffered
+    as in ``run_replicate``, so a batch keeps one transient (T, K) buffer
+    per replicate; the traces' per-round arrays are rows of the batch's.
+    """
+    config, graph, nu = plan.config, plan.graph, plan.nu
+    if config.algo == "unknown":
+        raise ValueError("the epoch learner runs one replicate at a time")
+    T, K, R = config.horizon, graph.num_arms, len(replicates)
+    full = config.trace_level == "full"
+    traces = [_empty_trace(config, r, K) for r in replicates]
+    if T == 0 or R == 0:
+        return traces
+
+    seeds = [_replicate_seeds(config.seed, r) for r in replicates]
+    oracles = [plan.oracle(oracle_seed) for oracle_seed, _ in seeds]
+    contexts, arm_u = _draws([rng for _, rng in seeds], nu, T)
+    learner = make_learner(plan, R)
+    rows = np.empty((R, T, K))
+    arms = np.empty((R, T), dtype=np.int32)
+    p_branch = np.empty((R, T), dtype=bool)
+    # The played rows; their products with the loss rows are taken a block
+    # of rounds at a time, so a light trace keeps only one block of them.
+    q_rows = np.empty((R, T if full else min(T, _Q_BLOCK), K))
+    block = q_rows.shape[1]
+    expected = np.empty((R, T))
+
+    for t in range(T):
+        if full:
+            dists = learner.distributions()  # hashed before act, as run_replicate does
+            for r, trace in enumerate(traces):
+                trace.policy_hashes.append(_digest(dists[r]))
+        c = contexts[:, t]
+        a, q, ftrl = learner.act(t, c, arm_u[:, t])
+        arms[:, t] = a
+        p_branch[:, t] = ftrl
+        q_rows[:, t % block] = q
+        revs = []
+        for r, oracle, c_r, a_r in zip(range(R), oracles, c.tolist(), a.tolist()):
+            rows[r, t] = oracle.loss_slice(t)[c_r]
+            revs.append(reveal(oracle, graph, t, a_r))
+        learner.update(revs)
+        if (t + 1) % block == 0 or t + 1 == T:
+            done = slice(t - t % block, t + 1)
+            n = done.stop - done.start
+            # each (1, K) @ (K, 1) slice is the dot q @ row of one round
+            expected[:, done] = np.matmul(q_rows[:, :n, None, :],
+                                          rows[:, done, :, None])[..., 0, 0]
+
+    del oracles, learner, arm_u  # release the loop's state before the traces settle
+    for r, trace in enumerate(traces):
+        trace.contexts, trace.arms, trace.p_branch = contexts[r], arms[r], p_branch[r]
+        trace.expected_inst = expected[r]
+        if full:
+            trace.q_rows = q_rows[r]
+        _settle(trace, rows[r])
+    return traces
 
 
 def run(config: RunConfig, keep_traces: bool = True) -> RunResult:
@@ -498,11 +597,17 @@ def run(config: RunConfig, keep_traces: bool = True) -> RunResult:
 
 
 def run_plan(plan: RunPlan, keep_traces: bool = True) -> RunResult:
-    """Run and summarise every replicate of a plan in replicate order. Without
-    ``keep_traces`` each trace is dropped once it is summarised."""
+    """Run and summarise every replicate of a plan in replicate order. A
+    batched learner runs them all in one lockstep batch; the epoch learner
+    runs them one after another, and without ``keep_traces`` each of its
+    traces is dropped once it is summarised."""
+    R = plan.config.replicates
+    if plan.config.algo == "unknown":
+        ran = (run_replicate(plan, r) for r in range(R))
+    else:
+        ran = run_batch(plan, range(R))
     summaries, traces = [], []
-    for r in range(plan.config.replicates):
-        trace = run_replicate(plan, r)
+    for trace in ran:
         summaries.append(summarize_regret(trace))
         if keep_traces:
             traces.append(trace)

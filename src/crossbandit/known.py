@@ -13,6 +13,7 @@ are importance-weighted by w(a) and accumulated for every context at once.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -34,13 +35,16 @@ class InvariantViolation(RuntimeError):
 
 
 class KnownDistLearner(Replayable):
-    """Exponential-weights learner for a known context distribution.
+    """Exponential-weights learner for a known context distribution, batched
+    over ``replicates`` independent replicates (see ``environment.Play``).
 
-    Keeps one cumulative estimated-loss row per context. The (M, K) table of
-    playing distributions is built at most once per state of ``cum``: ``act``
-    reads its row, ``update`` weighs the reveal with it, and full traces hash
-    it. The table is read-only and only ever rebound, so states share it.
-    Single-threaded per instance; independent instances may run in parallel.
+    Keeps one cumulative estimated-loss row per replicate and context. The
+    (R, M, K) table of playing distributions is built at most once per state
+    of ``cum``: ``act`` reads its rows, ``update`` weighs the reveals with
+    it, and full traces hash it. The table is read-only and only ever
+    rebound, so states share it. Every product over the replicate axis is a
+    stacked ``np.matmul``, which gives each replicate the bits of its own
+    product. Single-threaded per instance.
     """
 
     # Bound check cadence for the inverse-importance diagnostic.
@@ -48,70 +52,84 @@ class KnownDistLearner(Replayable):
     _COPIED = ("cum",)
 
     def __init__(self, graph: FeedbackGraph, nu: np.ndarray, eta: float,
-                 check_inverse_bound: bool = True):
+                 check_inverse_bound: bool = True, replicates: int = 1):
         if not graph.has_all_self_loops():
             raise ValueError("learner requires a self-loop at every arm")
         if not graph.strongly_observable:
             raise ValueError("learner requires a strongly observable graph")
-        if eta <= 0:
+        if not eta > 0:
             raise ValueError(f"eta must be positive, got {eta}")
         self.graph = graph
         self.nu = check_simplex(nu)
         self.eta = float(eta)
         self.num_contexts = len(self.nu)
         self.num_arms = graph.num_arms
-        self.cum = np.zeros((self.num_contexts, self.num_arms))
+        self.cum = np.zeros((replicates, self.num_contexts, self.num_arms))
+        self._replicates = np.arange(replicates)
         self.t = 0  # rounds completed
         self.check_inverse_bound = check_inverse_bound
         self._dists: np.ndarray | None = None  # exp_weights(cum), built on demand
 
     def distributions(self) -> np.ndarray:
-        """Current per-context playing distributions, shape (M, K), read-only."""
+        """Current per-context playing distributions, shape (R, M, K), read-only."""
         if self._dists is None:
             self._dists = exp_weights(self.cum, self.eta)
             self._dists.flags.writeable = False
         return self._dists
 
     def importance(self) -> np.ndarray:
-        """Observation probability w(a) for every arm under the current state."""
-        p_bar = self.nu @ self.distributions()
-        return self.graph.in_mask @ p_bar
+        """Observation probability w(a) of every replicate and arm under the
+        current state, shape (R, K)."""
+        return self._masses()[1]
 
-    def act(self, t: int, context: int, rng: np.random.Generator) -> Play:
+    def _masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """The context-average distributions and their in-neighborhood
+        masses, both (R, K)."""
+        p_bar = self.nu @ self.distributions()
+        return p_bar, np.matmul(self.graph.in_mask, p_bar[..., None])[..., 0]
+
+    def act(self, t: int, contexts: np.ndarray, u: np.ndarray) -> Play:
         if t != self.t:
             raise ValueError(f"act called for round {t}, expected {self.t}")
-        # a row of exp_weights(cum) has the bits of exp_weights(cum[context])
-        p = self.distributions()[context]
-        return Play(sample_arm(p, rng), p, True)  # no rejection fallback here
+        # a row of exp_weights(cum) has the bits of exp_weights(cum[r, c])
+        q = self.distributions()[self._replicates, contexts]
+        q.flags.writeable = False  # a copy of the rows, as read-only as the table
+        return Play(sample_arm(q, u), q, True)  # no rejection fallback here
 
-    def update(self, rev: Reveal, rng: np.random.Generator | None = None) -> None:
-        """Fold one reveal into every context's cumulative estimates.
+    def update(self, revs: Sequence[Reveal]) -> None:
+        """Fold one reveal per replicate into all its contexts' cumulative
+        estimates.
 
         The importance is taken from the pre-update distributions, matching
         the conditional-expectation argument that makes the estimator
         unbiased.
         """
-        dists = self.distributions()
-        w = self.importance()
-        arms = rev.arms
-        if (w[arms] <= 0).any():
+        p_bar, w = self._masses()
+        arms = [rev.arms for rev in revs]
+        cols = np.concatenate(arms)
+        reps = np.repeat(self._replicates, [len(a) for a in arms])
+        w_cols = w[reps, cols]
+        if not w_cols.min() > 0:
             raise InvariantViolation(
-                f"round {self.t}: zero importance on a revealed arm "
-                "(impossible with self-loops)"
+                f"replicate {reps[~(w_cols > 0)][0]} of the batch, round {self.t}: zero "
+                "importance on a revealed arm (impossible with self-loops)"
             )
-        self.cum[:, arms] += rev.losses / w[arms]
+        losses = np.concatenate([rev.losses for rev in revs], axis=1)
+        self.cum[reps, :, cols] += (losses / w_cols).T  # one cell per (replicate, arm, context)
         self._dists = None
         self.t += 1
         if self.check_inverse_bound and self.t % self.CHECK_EVERY == 0:
-            self._check_inverse_bound(dists, w)
+            self._check_inverse_bound(p_bar, w)
 
-    def _check_inverse_bound(self, dists: np.ndarray, w: np.ndarray) -> None:
-        """Inverse-importance mass stays within the independence-number bound;
-        ``w`` is the in-neighborhood mass of the context-average of ``dists``."""
-        lhs, rhs = graph_inverse_bound(self.nu @ dists, self.graph,
-                                       eps=float(w.min()), in_mass=w)
-        if lhs > rhs:
-            raise InvariantViolation(
-                f"round {self.t}: inverse-importance sum {lhs:.4f} exceeds "
-                f"bound {rhs:.4f}"
-            )
+    def _check_inverse_bound(self, p_bar: np.ndarray, w: np.ndarray) -> None:
+        """Inverse-importance mass stays within the independence-number bound
+        in every replicate; ``w`` is the in-neighborhood mass of the
+        context-average distributions ``p_bar``, both (R, K)."""
+        for r in range(len(w)):
+            lhs, rhs = graph_inverse_bound(p_bar[r], self.graph,
+                                           eps=float(w[r].min()), in_mass=w[r])
+            if lhs > rhs:
+                raise InvariantViolation(
+                    f"replicate {r} of the batch, round {self.t}: inverse-importance "
+                    f"sum {lhs:.4f} exceeds bound {rhs:.4f}"
+                )

@@ -34,7 +34,7 @@ def exp_weights(totals: np.ndarray, learning_rate: float) -> np.ndarray:
     Stabilized by shifting each row by its minimum before exponentiation, so
     cumulative totals spanning [0, 1e8] stay overflow-free.
     """
-    if learning_rate <= 0:
+    if not learning_rate > 0:
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
     t = np.asarray(totals, dtype=np.float64)
     if not np.isfinite(t).all():
@@ -50,7 +50,7 @@ def tilt(base: np.ndarray, deltas: np.ndarray, learning_rate: float) -> np.ndarr
     Computed in log space so that exp_weights(c) tilted by d equals
     exp_weights(c + d) to high precision.
     """
-    if learning_rate <= 0:
+    if not learning_rate > 0:
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
     b = np.asarray(base, dtype=np.float64)
     d = np.asarray(deltas, dtype=np.float64)
@@ -63,12 +63,19 @@ def tilt(base: np.ndarray, deltas: np.ndarray, learning_rate: float) -> np.ndarr
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def sample_arm(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Categorical draw by inverse CDF over the stored order.
+def sample_arm(p: np.ndarray, u):
+    """Categorical draw(s) by inverse CDF over the stored order.
 
-    Ties (zero-width intervals) resolve to the lowest index; deterministic
-    given the generator state. ``p`` must be an ndarray.
+    ``p`` is one distribution (K,) or a stack of them (..., K); ``u`` holds
+    uniforms on [0, 1): any number of them for one distribution, one per row
+    for a stack. Returns the drawn arm(s) in the shape of ``u``. Ties
+    (zero-width intervals) resolve to the lowest index. Every row draws the
+    arm that ``searchsorted`` would find in that row's own CDF, whatever the
+    stack around it.
     """
-    cdf = p.cumsum()
-    a = int(cdf.searchsorted(rng.random(), side="right"))
-    return min(a, len(cdf) - 1)
+    # Searching all but the last CDF entry sends a uniform beyond a CDF that
+    # sums to slightly less than 1 to the last arm.
+    cdf = p.cumsum(axis=-1)[..., :-1]
+    if cdf.ndim == 1:
+        return cdf.searchsorted(u, side="right")
+    return (cdf <= u[..., None]).sum(axis=-1)  # a CDF is nondecreasing: searchsorted's count

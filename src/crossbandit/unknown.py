@@ -243,7 +243,7 @@ class EpochLearner(Replayable):
             p = (self._dists[context] if self._dists is not None
                  else exp_weights(self.cum[context], self.params.eta))
             q, branch_p = rejection_distribution(p, self.s_cur[context])
-        arm = sample_arm(q, rng)
+        arm = int(sample_arm(q, rng.random()))
         self._pending.append((context, arm, branch_p, q, None))
         return Play(arm, q, branch_p)
 

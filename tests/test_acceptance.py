@@ -83,7 +83,7 @@ class TestCheckSensitivity:
         for _ in range(n):
             learner.restore(s0)
             for off in range(2):
-                c = sample_context(nu, rng)
+                c = sample_context(nu, rng.random())
                 a = learner.act(t0 + off, c, rng).arm
                 pair = learner.update(reveal(dense, graph, off, a), rng)
             used += pair.used

@@ -11,10 +11,11 @@ NU = np.array([0.4, 0.3, 0.2, 0.1])
 
 
 def drive(learner, graph, oracle, nu, rng, rounds):
+    """Rounds of a batch of one: a context uniform, then an arm uniform."""
     for t in range(rounds):
-        c = sample_context(nu, rng)
-        a = learner.act(t, c, rng).arm
-        learner.update(reveal(oracle, graph, t, a), rng)
+        c = sample_context(nu, rng.random(1))
+        a = learner.act(t, c, rng.random(1)).arm[0]
+        learner.update([reveal(oracle, graph, t, a)])
 
 
 class TestUniform:
@@ -25,7 +26,7 @@ class TestUniform:
         n = 100_000
         counts = np.zeros(5)
         for _ in range(n):
-            counts[lrn.act(0, 0, rng).arm] += 1  # act leaves the learner unchanged
+            counts[lrn.act(0, np.array([0]), rng.random(1)).arm[0]] += 1  # act leaves the learner unchanged
         freq = counts / n
         bound = 3 * math.sqrt(0.2 * 0.8 / n)
         assert np.all(np.abs(freq - 0.2) <= bound)
@@ -50,9 +51,9 @@ class TestGraphExp3:
             rng = np.random.default_rng(42)
             seq = []
             for t in range(256):
-                c = sample_context(nu1, rng)
-                a = lrn.act(t, c, rng).arm
-                lrn.update(reveal(oracle, graph, t, a), rng)
+                c = sample_context(nu1, rng.random(1))
+                a = lrn.act(t, c, rng.random(1)).arm[0]
+                lrn.update([reveal(oracle, graph, t, a)])
                 seq.append(a)
             seqs.append(seq)
         assert seqs[0] == seqs[1]
@@ -65,8 +66,8 @@ class TestGraphExp3:
         oracle = StochasticGapOracle(gap_means(4, 4, best_stride=1), num_rounds=128, seed=5)
         rng = np.random.default_rng(2)
         drive(lrn, graph, oracle, nu, rng, 128)
-        assert np.count_nonzero(lrn.cum[3]) == 0
-        assert np.count_nonzero(lrn.cum[:3]) > 0
+        assert np.count_nonzero(lrn.cum[0, 3]) == 0
+        assert np.count_nonzero(lrn.cum[0, :3]) > 0
 
     def test_per_context_state_changes_only_on_own_rounds(self):
         graph = build_graph(GraphSpec(kind="complete_with_self_loops", num_arms=3))
@@ -75,12 +76,12 @@ class TestGraphExp3:
         rng = np.random.default_rng(3)
         contexts = [0, 1, 0, 0, 1, 1, 0, 1]
         for t, c in enumerate(contexts):
-            before = lrn.cum.copy()
-            a = lrn.act(t, c, rng).arm
-            lrn.update(reveal(oracle, graph, t, a), rng)
+            before = lrn.cum[0].copy()
+            a = lrn.act(t, np.array([c]), rng.random(1)).arm[0]
+            lrn.update([reveal(oracle, graph, t, a)])
             other = 1 - c
-            assert np.array_equal(lrn.cum[other], before[other])
-            assert not np.array_equal(lrn.cum[c], before[c])
+            assert np.array_equal(lrn.cum[0, other], before[other])
+            assert not np.array_equal(lrn.cum[0, c], before[c])
 
     def test_complete_graph_zero_ix_is_full_information(self):
         graph = build_graph(GraphSpec(kind="complete_with_self_loops", num_arms=3))
@@ -90,12 +91,12 @@ class TestGraphExp3:
         rng = np.random.default_rng(1)
         realized = []
         for t in range(4):
-            c = sample_context(np.array([0.5, 0.5]), rng)
-            a = lrn.act(t, c, rng).arm
-            lrn.update(reveal(oracle, graph, t, a), rng)
-            realized.append(c)
+            c = sample_context(np.array([0.5, 0.5]), rng.random(1))
+            a = lrn.act(t, c, rng.random(1)).arm[0]
+            lrn.update([reveal(oracle, graph, t, a)])
+            realized.append(c[0])
         expected = sum(tensor[t, c] for t, c in enumerate(realized))
-        assert np.allclose(lrn.cum[0], expected)
+        assert np.allclose(lrn.cum[0, 0], expected)
 
     def test_estimate_mean_matches_attenuated_loss(self):
         # frozen uniform state: mean estimate = loss * w / (w + gamma_ix)
@@ -109,16 +110,23 @@ class TestGraphExp3:
         obs = np.zeros(4)
         for _ in range(n):
             lrn = GraphExp3Baseline(graph, 1, eta=0.1, gamma_ix=gamma_ix, per_context=False)
-            a = lrn.act(0, 0, rng).arm
-            lrn.update(reveal(oracle, graph, 0, a), rng)
+            a = lrn.act(0, np.array([0]), rng.random(1)).arm[0]
+            lrn.update([reveal(oracle, graph, 0, a)])
             obs[graph.out_neighbors[a],] += 1
-            total += lrn.cum[0]
+            total += lrn.cum[0, 0]
         w = 0.5  # uniform mass on each 2-clique
         target = loss_val * w / (w + gamma_ix)
         mean = total / n
         p_hat = obs / n
         se = (loss_val / (w + gamma_ix)) * np.sqrt(p_hat * (1 - p_hat) / n)
         assert np.all(np.abs(mean - target) <= 3 * se)
+
+    @pytest.mark.parametrize("eta,gamma_ix", [(float("nan"), 0.01), (0.1, float("nan")),
+                                              (0.0, 0.01), (0.1, -0.01)])
+    def test_rejects_bad_rates(self, eta, gamma_ix):
+        graph = build_graph(GraphSpec(kind="self_loops_only", num_arms=4))
+        with pytest.raises(ValueError, match="eta > 0 and gamma_ix >= 0"):
+            GraphExp3Baseline(graph, 4, eta=eta, gamma_ix=gamma_ix, per_context=True)
 
     def test_default_rates(self):
         eta, gix = baseline_rates(16, 4096, 4, num_states=1)

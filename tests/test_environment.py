@@ -22,7 +22,7 @@ class TestSampleContext:
         rng = np.random.default_rng(0)
         nu = np.zeros(5)
         nu[2] = 1.0
-        assert all(sample_context(nu, rng) == 2 for _ in range(100))
+        assert all(sample_context(nu, rng.random()) == 2 for _ in range(100))
 
     def test_uniform_frequencies(self):
         rng = np.random.default_rng(1)
@@ -30,15 +30,15 @@ class TestSampleContext:
         counts = np.zeros(8)
         nu = np.full(8, 0.125)
         for _ in range(n):
-            counts[sample_context(nu, rng)] += 1
+            counts[sample_context(nu, rng.random())] += 1
         bound = 3 * math.sqrt(0.125 * 0.875 / n)
         assert np.all(np.abs(counts / n - 0.125) <= bound)
 
     def test_seed_reproducibility(self):
         nu = np.array([0.5, 0.3, 0.2])
         rng1, rng2 = np.random.default_rng(4), np.random.default_rng(4)
-        assert [sample_context(nu, rng1) for _ in range(200)] == \
-               [sample_context(nu, rng2) for _ in range(200)]
+        assert [sample_context(nu, rng1.random()) for _ in range(200)] == \
+               [sample_context(nu, rng2.random()) for _ in range(200)]
 
 
 class TestTableOracle:

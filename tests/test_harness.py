@@ -20,6 +20,7 @@ from crossbandit.harness import (
     oracle_source,
     regret_curves,
     run,
+    run_batch,
     run_plan,
     run_replicate,
     run_sweep,
@@ -300,15 +301,15 @@ class TestScalingFit:
 class TestSweep:
     @pytest.fixture
     def ran(self, monkeypatch):
-        """Replicate indices passed to ``run_replicate``, in call order."""
+        """Replicate indices passed to ``run_batch``, in call order."""
         ran = []
-        real = harness.run_replicate
+        real = harness.run_batch
 
-        def counting(plan, replicate):
-            ran.append(replicate)
-            return real(plan, replicate)
+        def counting(plan, replicates):
+            ran.extend(replicates)
+            return real(plan, replicates)
 
-        monkeypatch.setattr(harness, "run_replicate", counting)
+        monkeypatch.setattr(harness, "run_batch", counting)
         return ran
 
     def test_horizon_sweep_shape(self):
@@ -451,6 +452,8 @@ def test_a_replicate_run_alone_matches_its_trace_in_the_run(tmp_path, monkeypatc
     # Chunks of 8 rounds, so the chunked oracles switch chunks within a
     # replicate and a shared one starts each replicate with another's chunk.
     monkeypatch.setattr(environment, "_CHUNK_BUDGET", 8 * 4 * 4)
+    # Expected losses of a batch in blocks of 48 rounds: the last block is short.
+    monkeypatch.setattr(harness, "_Q_BLOCK", 48)
     spec = {"gap": GAP, "shift": OracleSpec(kind="adversarial_shift"),
             "auction": OracleSpec(kind="auction"), "bids": _bids_spec(tmp_path, rounds=128),
             "table": _table_spec(tmp_path, rounds=128)}[oracle]
@@ -462,6 +465,19 @@ def test_a_replicate_run_alone_matches_its_trace_in_the_run(tmp_path, monkeypatc
     traces = run_plan(plan).traces
     for r in reversed(range(3)):
         assert _recorded(run_replicate(plan, r)) == _recorded(traces[r])
+    # A batched learner's replicate has the same bytes alone and in a batch
+    # of any size and order.
+    for algo in ("known", "per_context_exp3g", "pooled_exp3g", "uniform"):
+        for trace_level in ("light", "full"):
+            plan = validate_config(small_config(oracle=spec, algo=algo, horizon=128,
+                                                replicates=5, trace_level=trace_level,
+                                                diagnostics=True))
+            traces = run_plan(plan).traces
+            for r in reversed(range(5)):
+                assert _recorded(run_replicate(plan, r)) == _recorded(traces[r])
+            for batch in ([3], [4, 1], [2, 0, 4, 1, 3]):
+                for r, trace in zip(batch, run_batch(plan, batch)):
+                    assert _recorded(trace) == _recorded(traces[r])
 
 
 class TestOutputs:

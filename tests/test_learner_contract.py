@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbandit.environment import TableOracle, reveal, sample_context
+from crossbandit.environment import Play, TableOracle, reveal, sample_context
 from crossbandit.graph import FeedbackGraph, GraphSpec
-from crossbandit.harness import ALGOS, OracleSpec, RunConfig, make_learner, run_replicate, \
-    summarize_regret, validate_config
-from crossbandit.unknown import rejection_distribution
+from crossbandit.harness import ALGOS, OracleSpec, RunConfig, make_learner, run_batch, \
+    run_replicate, summarize_regret, validate_config
+from crossbandit.unknown import EpochLearner, rejection_distribution
 
 L = 4  # epoch length of the epoch learner
 
@@ -35,6 +35,21 @@ def _plan(graph, algo, M, epochs, eta, seed, **kw):
     return replace(validate_config(config), graph=graph)
 
 
+def act(learner, t, c, rng):
+    """Round t under context c; a batched learner plays it as a batch of one
+    and draws its arm from the next uniform of ``rng``."""
+    if isinstance(learner, EpochLearner):
+        return learner.act(t, c, rng)
+    arms, q, ftrl = learner.act(t, np.array([c]), rng.random(1))
+    return Play(int(arms[0]), q[0], ftrl)
+
+
+def update(learner, rev, rng):
+    if isinstance(learner, EpochLearner):
+        return learner.update(rev, rng)
+    return learner.update([rev])
+
+
 cases = dict(graph=self_looped_graphs(), algo=st.sampled_from(ALGOS),
              M=st.integers(min_value=1, max_value=3), epochs=st.integers(min_value=2, max_value=5),
              eta=st.sampled_from([0.05, 1.0, 20.0]), seed=st.integers(0, 2 ** 16))
@@ -50,8 +65,8 @@ def test_plays_and_pairs_keep_the_contract(graph, algo, M, epochs, eta, seed):
     learner = make_learner(plan)
     arms, pairs = [], 0
     for t in range(config.horizon):
-        c = sample_context(nu, rng)
-        play = learner.act(t, c, rng)
+        c = sample_context(nu, rng.random())
+        play = act(learner, t, c, rng)
         arms.append(play.arm)
         assert (play.q >= 0).all() and abs(play.q.sum() - 1.0) < 1e-9
         assert play.q[play.arm] > 0
@@ -62,7 +77,7 @@ def test_plays_and_pairs_keep_the_contract(graph, algo, M, epochs, eta, seed):
         else:
             q, ftrl = rejection_distribution(learner.distributions()[c], learner.s_cur[c])
             assert play.ftrl == ftrl and np.array_equal(play.q, q)
-        pair = learner.update(reveal(oracle, graph, t, play.arm), rng)
+        pair = update(learner, reveal(oracle, graph, t, play.arm), rng)
         if pair is not None:
             assert algo == "unknown" and t % 2 == 1
             played = arms[pair.t_first + pair.loss_offset]
@@ -103,8 +118,8 @@ def test_a_state_replays_identically_across_epoch_ends(algo):
         arms = []
         for _ in range(rounds):
             t = learner.t
-            arms.append(learner.act(t, sample_context(nu, rng), rng).arm)
-            learner.update(reveal(oracle, graph, t, arms[-1]), rng)
+            arms.append(act(learner, t, sample_context(nu, rng.random()), rng).arm)
+            update(learner, reveal(oracle, graph, t, arms[-1]), rng)
         return arms, learner.cum.copy(), learner.distributions().copy()
 
     drive(L + 2, np.random.default_rng(2))  # mid-epoch, pair boundary
@@ -135,10 +150,14 @@ def test_the_policy_table_is_built_once_per_round(monkeypatch, algo, trace_level
         monkeypatch.setattr(module, "exp_weights", counted(module.exp_weights))
     graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
     plan = _plan(graph, algo, 3, 8, 1.0, 0, trace_level=trace_level)
-    run_replicate(plan, 0)
+    if algo == "unknown":
+        run_replicate(plan, 0)
+    else:
+        run_batch(plan, [0, 1])
     T = plan.config.horizon
-    if algo == "known":  # one (M, K) table per round, shared by act, update and the trace
-        assert len(calls) == T
+    shapes = [totals.shape for totals, _ in calls]
+    if algo == "known":  # one (R, M, K) table per round and batch, shared by act,
+        assert shapes == [(2, 3, 3)] * T  # update and the trace
     elif algo == "unknown":
         rows = sum(totals.ndim == 1 for totals, _ in calls)
         tables = sum(totals.ndim == 2 for totals, _ in calls)
@@ -148,8 +167,9 @@ def test_the_policy_table_is_built_once_per_round(monkeypatch, algo, trace_level
             assert (rows, tables) == (T - L - 2 * (T // L - 1), T // L)
         else:  # the traced table per other pair serves both rounds' rows
             assert (rows, tables) == (0, (T - L) // 2 + 1)
-    else:  # one row per update, and at most one table when the learner is built
-        assert T <= len(calls) <= T + 1
+    else:  # one row per replicate and update, and at most one table when the
+        assert T <= len(calls) <= T + 1  # learner is built
+        assert shapes[-T:] == [(2, 3)] * T
 
 
 def test_diagnostics_read_the_learners_in_mass_table(monkeypatch):
@@ -180,7 +200,7 @@ def test_the_known_learners_table_is_read_only():
     with pytest.raises(ValueError):
         learner.distributions()[0, 0] = 1.0
     with pytest.raises(ValueError):
-        learner.act(0, 1, np.random.default_rng(0)).q[0] = 1.0
+        learner.act(0, np.array([1]), np.array([0.5])).q[0, 0] = 1.0
 
 
 def test_the_epoch_learners_table_is_read_only():
@@ -209,8 +229,8 @@ def test_returned_distributions_are_never_written(algo):
     learner = make_learner(plan)
     returned = []
     for t in range(plan.config.horizon):
-        play = learner.act(t, sample_context(nu, rng), rng)
+        play = act(learner, t, sample_context(nu, rng.random()), rng)
         dists = learner.distributions()
         returned += [(play.q, play.q.copy()), (dists, dists.copy())]
-        learner.update(reveal(oracle, graph, t, play.arm), rng)
+        update(learner, reveal(oracle, graph, t, play.arm), rng)
     assert all(np.array_equal(arr, copy) for arr, copy in returned)

@@ -41,6 +41,10 @@ class TestExpWeights:
         with pytest.raises(ValueError):
             exp_weights(np.zeros(3), 0.0)
 
+    def test_rejects_a_nan_rate(self):
+        with pytest.raises(ValueError, match="learning rate"):
+            exp_weights(np.zeros(3), float("nan"))
+
     @settings(max_examples=60, deadline=None)
     @given(finite_totals, st.floats(min_value=1e-6, max_value=10.0))
     def test_output_is_simplex(self, totals, eta):
@@ -101,6 +105,10 @@ class TestTilt:
         tilted = tilt(exp_weights(cum, eta), deltas, eta)
         assert np.allclose(direct, tilted, atol=1e-12)
 
+    def test_rejects_a_nan_rate(self):
+        with pytest.raises(ValueError, match="learning rate"):
+            tilt(np.full(3, 1 / 3), np.zeros(3), float("nan"))
+
     def test_handles_zero_base_entries(self):
         out = tilt(np.array([0.0, 0.5, 0.5]), np.array([0.0, 0.0, 1.0]), 1.0)
         assert out[0] == 0.0
@@ -112,7 +120,7 @@ class TestSampleArm:
         rng = np.random.default_rng(0)
         p = np.zeros(6)
         p[3] = 1.0
-        assert all(sample_arm(p, rng) == 3 for _ in range(50))
+        assert all(sample_arm(p, rng.random()) == 3 for _ in range(50))
 
     def test_uniform_frequencies(self):
         rng = np.random.default_rng(1)
@@ -120,7 +128,7 @@ class TestSampleArm:
         counts = np.zeros(4)
         p = np.full(4, 0.25)
         for _ in range(n):
-            counts[sample_arm(p, rng)] += 1
+            counts[sample_arm(p, rng.random())] += 1
         freq = counts / n
         bound = 3 * math.sqrt(0.25 * 0.75 / n)
         assert np.all(np.abs(freq - 0.25) <= bound)
@@ -129,13 +137,27 @@ class TestSampleArm:
         rng_a = np.random.default_rng(9)
         rng_b = np.random.default_rng(9)
         p = np.array([0.2, 0.5, 0.3])
-        assert [sample_arm(p, rng_a) for _ in range(100)] == \
-               [sample_arm(p, rng_b) for _ in range(100)]
+        assert [sample_arm(p, rng_a.random()) for _ in range(100)] == \
+               [sample_arm(p, rng_b.random()) for _ in range(100)]
 
     def test_zero_probability_arm_never_sampled(self):
         rng = np.random.default_rng(3)
         p = np.array([0.5, 0.0, 0.5])
-        assert all(sample_arm(p, rng) != 1 for _ in range(1000))
+        assert all(sample_arm(p, rng.random()) != 1 for _ in range(1000))
+
+    def test_a_stack_draws_each_row_as_searchsorted_does_alone(self):
+        rng = np.random.default_rng(5)
+        for K in (2, 3, 7, 16):
+            p = exp_weights(rng.random((40, K)) * rng.choice([0.0, 1.0, 50.0], (40, 1)), 1.0)
+            p[::7] = np.eye(K)[rng.integers(0, K, len(p[::7]))]  # point masses: zero widths
+            u = rng.random(40)
+            u[::5] = np.nextafter(1.0, 0.0)  # beyond a CDF that sums to just under 1
+            want = [min(int(np.cumsum(row).searchsorted(x, side="right")), K - 1)
+                    for row, x in zip(p, u)]
+            assert sample_arm(p, u).tolist() == want
+            assert [int(sample_arm(row, x)) for row, x in zip(p, u)] == want
+            assert sample_arm(p[0], u).tolist() == [want[0]] + [
+                min(int(np.cumsum(p[0]).searchsorted(x, side="right")), K - 1) for x in u[1:]]
 
 
 class TestCheckSimplex:

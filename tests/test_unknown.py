@@ -24,7 +24,7 @@ NU = np.array([0.4, 0.3, 0.2, 0.1])
 def drive(learner, graph, oracle, nu, rng, rounds, start=0):
     for i in range(rounds):
         t = start + i
-        c = sample_context(nu, rng)
+        c = sample_context(nu, rng.random())
         a = learner.act(t, c, rng).arm
         learner.update(reveal(oracle, graph, t % oracle.num_rounds, a), rng)
 
@@ -259,7 +259,7 @@ class TestPairMechanics:
             rng = np.random.default_rng(123)
             seq = []
             for t in range(192):
-                c = sample_context(NU, rng)
+                c = sample_context(NU, rng.random())
                 a = lrn.act(t, c, rng).arm
                 lrn.update(reveal(oracle, graph, t, a), rng)
                 seq.append(a)
@@ -291,7 +291,7 @@ class TestEstimatorMoments:
         for _ in range(n):
             lrn.restore(s0)
             for off in range(2):
-                c = sample_context(NU, rng)
+                c = sample_context(NU, rng.random())
                 a = lrn.act(t0 + off, c, rng).arm
                 pair = lrn.update(reveal(dense, graph, off, a), rng)
             total += lrn.cum - cum0
@@ -313,7 +313,7 @@ class TestEstimatorMoments:
         for _ in range(n):
             lrn.restore(s0)
             for off in range(2):
-                c = sample_context(NU, rng)
+                c = sample_context(NU, rng.random())
                 a = lrn.act(t0 + off, c, rng).arm
                 pair = lrn.update(reveal(dense, graph, off, a), rng)
             used_counts += pair.used
@@ -336,7 +336,7 @@ class TestEstimatorMoments:
         for _ in range(n):
             lrn.restore(s0)
             for i in range(L):
-                c = sample_context(NU, rng)
+                c = sample_context(NU, rng.random())
                 a = lrn.act(t0 + i, c, rng).arm
                 lrn.update(reveal(oracle, graph, (t0 + i) % 512, a), rng)
             total += lrn.w_hat
