@@ -1,17 +1,21 @@
 """Acceptance checks: estimator identities, concentration events, scaling laws.
 
-Each check returns a CheckResult and is runnable at full scale (the numbers
-the suite is graded at) or scaled down for a quick smoke pass. Monte-Carlo
-assertions compare against independently computed exact targets at three
-standard errors.
+This module is the registry behind ``crossbandit verify``. Each check
+registers itself once, in order, with its name and its quick-scale keywords;
+its keyword defaults are the scale the suite is graded at (tens of minutes
+in all), and the quick scale is a smoke pass of about half a minute.
+Monte-Carlo assertions compare against independently computed exact targets
+at three standard errors.
 """
 
 from __future__ import annotations
 
 import filecmp
+import functools
 import math
 import tempfile
 import time
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,9 +45,61 @@ class CheckResult:
         return f"[{tag}] {self.name} ({self.seconds:.1f}s): {self.detail}"
 
 
-def _timed(name: str, passed: bool, detail: str, t0: float) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail,
-                       seconds=time.time() - t0)
+@dataclass(frozen=True)
+class Check:
+    """A registry entry. ``fn()`` runs the check at its graded scale and
+    ``fn(**quick)`` at its quick scale; both return a ``CheckResult``
+    printed as ``label``."""
+    name: str
+    label: str
+    fn: Callable[..., CheckResult]
+    quick: Mapping[str, object]
+
+
+CHECKS: list[Check] = []
+
+
+def _check(name: str, **quick):
+    """Register the decorated check as the next numbered entry. Its body
+    returns ``(passed, detail)``; the registered function times the body and
+    returns a ``CheckResult`` instead."""
+    def register(body: Callable[..., tuple[bool, str]]) -> Callable[..., CheckResult]:
+        label = f"{len(CHECKS) + 1:02d} {name}"
+
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            t0 = time.time()
+            passed, detail = body(*args, **kwargs)
+            return CheckResult(label, bool(passed), detail, time.time() - t0)
+
+        CHECKS.append(Check(name, label, check, quick))
+        return check
+    return register
+
+
+def check_names() -> list[str]:
+    return [entry.name for entry in CHECKS]
+
+
+def run_checks(level: str = "quick", names: Iterable[str] | None = None) -> list[CheckResult]:
+    """Run the registered checks (all, or those in ``names``) in order at
+    ``level`` "quick" or "full", printing one pass/fail line per check.
+    Unknown names are rejected before any check runs."""
+    if level not in ("quick", "full"):
+        raise ValueError(f"level must be quick or full, got {level!r}")
+    wanted = set(names) if names is not None else None
+    if wanted:
+        missing = wanted - set(check_names())
+        if missing:
+            raise ValueError(f"unknown checks: {sorted(missing)}")
+    results = []
+    for entry in CHECKS:
+        if wanted is not None and entry.name not in wanted:
+            continue
+        res = entry.fn(**entry.quick) if level == "quick" else entry.fn()
+        print(res.line())
+        results.append(res)
+    return results
 
 
 _NU4 = (0.4, 0.3, 0.2, 0.1)
@@ -53,11 +109,11 @@ _REPLAY_BATCH = 1000
 
 # ---------------------------------------------------------------- criterion 1
 
-def check_estimator_unbiasedness(n_replays: int = 100_000, seed: int = 11) -> CheckResult:
+@_check("estimator-unbiasedness", n_replays=20_000)
+def check_estimator_unbiasedness(n_replays: int = 100_000, seed: int = 11) -> tuple[bool, str]:
     """Known-distribution estimator: replay one frozen round many times; the
     Monte-Carlo mean of every importance-weighted estimate matches the true
     loss within 3 standard errors, for every (context, arm)."""
-    t0 = time.time()
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     worst = 0.0
     cells = 0
@@ -68,7 +124,7 @@ def check_estimator_unbiasedness(n_replays: int = 100_000, seed: int = 11) -> Ch
         M, K = len(nu), graph.num_arms
         warm_oracle = StochasticGapOracle(gap_means(M, K, best_stride=3),
                                           num_rounds=300, seed=seed)
-        learner = KnownDistLearner(graph, nu, eta=0.05, check_inverse_bound=False)
+        learner = KnownDistLearner(graph, nu, eta=0.05)
         for t in range(300):  # a batch of one: one context and one arm uniform per round
             c = sample_context(nu, rng.random(1))
             a = learner.act(t, c, rng.random(1)).arm[0]
@@ -86,8 +142,7 @@ def check_estimator_unbiasedness(n_replays: int = 100_000, seed: int = 11) -> Ch
             # Each row of a batch replays the frozen round once, with the
             # context and arm uniforms one replay alone would draw.
             n = min(_REPLAY_BATCH, n_replays - done)
-            replays = KnownDistLearner(graph, nu, eta=0.05, check_inverse_bound=False,
-                                       replicates=n)
+            replays = KnownDistLearner(graph, nu, eta=0.05, replicates=n)
             replays.cum[:] = learner.cum
             replays.t = t_frozen
             u = rng.random(2 * n)
@@ -108,10 +163,8 @@ def check_estimator_unbiasedness(n_replays: int = 100_000, seed: int = 11) -> Ch
             ratio = np.where(se > 0, dev / se, 0.0)
         worst = max(worst, float(ratio.max()))
         if not ok.all():
-            return _timed("01 estimator-unbiasedness", False,
-                          f"{int((~ok).sum())} cells beyond 3 SE on {spec.kind}", t0)
-    return _timed("01 estimator-unbiasedness", True,
-                  f"max dev {worst:.2f} SE over {cells} cells, n={n_replays}", t0)
+            return False, f"{int((~ok).sum())} cells beyond 3 SE on {spec.kind}"
+    return True, f"max dev {worst:.2f} SE over {cells} cells, n={n_replays}"
 
 
 # ----------------------------------------------------- epoch-state scaffolding
@@ -139,10 +192,10 @@ def _warm_epoch_learner(seed: int, epoch_len: int = 32, stop_epoch: int = 3,
 
 # ---------------------------------------------------------------- criterion 2
 
-def check_used_feedback_marginal(n_pairs: int = 100_000, seed: int = 12) -> CheckResult:
+@_check("used-feedback-marginal", n_pairs=20_000)
+def check_used_feedback_marginal(n_pairs: int = 100_000, seed: int = 12) -> tuple[bool, str]:
     """Per-pair probability that an arm's loss feeds the estimates equals the
     exact per-arm observation probability of the epoch snapshot."""
-    t0 = time.time()
     graph, nu, _, learner, rng = _warm_epoch_learner(seed, epoch_len=32,
                                                      stop_epoch=3, stop_pos=4)
     M, K = learner.num_contexts, learner.num_arms
@@ -164,17 +217,17 @@ def check_used_feedback_marginal(n_pairs: int = 100_000, seed: int = 12) -> Chec
     dev = np.abs(rate - w_exact)
     ok = dev <= 3.0 * se + 1e-12
     worst = float((dev / np.maximum(se, 1e-12)).max())
-    return _timed("02 used-feedback-marginal", ok.all(),
-                  f"max dev {worst:.2f} SE, w range [{w_exact.min():.3f}, "
-                  f"{w_exact.max():.3f}], n={n_pairs}", t0)
+    return (ok.all(),
+            f"max dev {worst:.2f} SE, w range [{w_exact.min():.3f}, "
+            f"{w_exact.max():.3f}], n={n_pairs}")
 
 
 # ---------------------------------------------------------------- criterion 3
 
-def check_importance_estimate_unbiased(n_epochs: int = 10_000, seed: int = 13) -> CheckResult:
+@_check("importance-estimate-unbiased", n_epochs=1_500)
+def check_importance_estimate_unbiased(n_epochs: int = 10_000, seed: int = 13) -> tuple[bool, str]:
     """Replaying a frozen epoch start many times, the mean of the empirical
     importance computed for the next epoch matches its exact value."""
-    t0 = time.time()
     graph, nu, oracle, learner, rng = _warm_epoch_learner(seed, epoch_len=32,
                                                           stop_epoch=3, stop_pos=0)
     L = learner.epoch_len
@@ -199,19 +252,19 @@ def check_importance_estimate_unbiased(n_epochs: int = 10_000, seed: int = 13) -
     dev = np.abs(mean - w_next_exact)
     ok = dev <= 3.0 * se + 1e-12
     worst = float((dev / np.maximum(se, 1e-12)).max())
-    return _timed("03 importance-estimate-unbiased", ok.all(),
-                  f"max dev {worst:.2f} SE over {learner.num_arms} arms, n={n_epochs}", t0)
+    return (ok.all(),
+            f"max dev {worst:.2f} SE over {learner.num_arms} arms, n={n_epochs}")
 
 
 # ---------------------------------------------------------------- criterion 4
 
-def check_concentration_events(n_epochs: int = 205, seed: int = 14) -> CheckResult:
+@_check("concentration-events", n_epochs=200)
+def check_concentration_events(n_epochs: int = 205, seed: int = 14) -> tuple[bool, str]:
     """Concentration-event frequencies at a non-vacuous confidence level
     (iota = 6): the importance event and the boundedness event hold at least
     as often as their union bounds, and the denominator ratio stays within
     [1/2, 2] on every importance-event epoch. The run computes the
     per-epoch reports; the check only reads them."""
-    t0 = time.time()
     iota, L = 6.0, 256
     gamma = 4.0 * iota / L
     eta = gamma / (2.0 * (2.0 * L * gamma + iota))
@@ -240,17 +293,17 @@ def check_concentration_events(n_epochs: int = 205, seed: int = 14) -> CheckResu
         if r.importance_ok and not (0.5 - 1e-9 <= r.beta_min and r.beta_max <= 2.0 + 1e-9)
     )
     passed = f_ok and l_ok and beta_violations == 0 and n >= 200
-    return _timed("04 concentration-events", passed,
-                  f"{n} epochs: P(F)={p_f:.4f} (>= {bound_f:.4f}), "
-                  f"P(L)={p_l:.4f} (>= {bound_l:.4f}), beta violations {beta_violations}", t0)
+    return (passed,
+            f"{n} epochs: P(F)={p_f:.4f} (>= {bound_f:.4f}), "
+            f"P(L)={p_l:.4f} (>= {bound_l:.4f}), beta violations {beta_violations}")
 
 
 # ---------------------------------------------------------------- criterion 5
 
-def check_rejection_inactivity(replicates: int = 20, seed: int = 15) -> CheckResult:
+@_check("rejection-inactivity", replicates=3)
+def check_rejection_inactivity(replicates: int = 20, seed: int = 15) -> tuple[bool, str]:
     """Under the horizon-formula schedule at tuned_scale 0.02, almost every
     round plays the FTRL distribution rather than the snapshot fallback."""
-    t0 = time.time()
     config = RunConfig(
         graph=GraphSpec(kind="disjoint_cliques", clique_sizes=(4, 4, 4, 4)),
         oracle=OracleSpec(kind="stochastic_gap", gap=0.2, base=0.4, best_stride=5),
@@ -261,9 +314,9 @@ def check_rejection_inactivity(replicates: int = 20, seed: int = 15) -> CheckRes
     result, L = run_plan(plan), plan.schedule.epoch_len
     fracs = [float((~tr.p_branch[L:]).mean()) for tr in result.traces]
     mean_frac = float(np.mean(fracs))
-    return _timed("05 rejection-inactivity", mean_frac <= 0.05,
-                  f"snapshot-branch fraction {mean_frac:.5f} (max replicate "
-                  f"{max(fracs):.5f}) over {replicates} seeds, L={L}", t0)
+    return (mean_frac <= 0.05,
+            f"snapshot-branch fraction {mean_frac:.5f} (max replicate "
+            f"{max(fracs):.5f}) over {replicates} seeds, L={L}")
 
 
 # ------------------------------------------------------- scaling-run utilities
@@ -296,12 +349,13 @@ def _run_algo(algo: str, T: int, alpha: int, M: int, seed: int, replicates: int,
 
 # ---------------------------------------------------------------- criterion 6
 
+@_check("horizon-scaling", replicates=4,
+        horizons=(2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14))
 def check_t_scaling(replicates: int = 20, seed: int = 16,
                     horizons: tuple[int, ...] = (2 ** 12, 2 ** 13, 2 ** 14, 2 ** 15, 2 ** 16),
-                    ) -> CheckResult:
+                    ) -> tuple[bool, str]:
     """log-log slope of expected-form regret against the horizon sits near
     1/2 for both algorithms."""
-    t0 = time.time()
     pts_unknown, pts_known = [], []
     for T in horizons:
         pts_unknown.append((T, _run_epochal(T, 4, 8, seed, replicates).mean_expected))
@@ -309,18 +363,18 @@ def check_t_scaling(replicates: int = 20, seed: int = 16,
     s_u = fit_scaling(pts_unknown)
     s_k = fit_scaling(pts_known)
     ok = 0.35 <= s_u.slope <= 0.65 and 0.35 <= s_k.slope <= 0.65
-    return _timed("06 horizon-scaling", ok,
-                  f"slope epoch-learner {s_u.slope:.3f}±{s_u.stderr:.3f}, "
-                  f"known-dist {s_k.slope:.3f}±{s_k.stderr:.3f} "
-                  f"(window [0.35, 0.65], {replicates} seeds)", t0)
+    return (ok,
+            f"slope epoch-learner {s_u.slope:.3f}±{s_u.stderr:.3f}, "
+            f"known-dist {s_k.slope:.3f}±{s_k.stderr:.3f} "
+            f"(window [0.35, 0.65], {replicates} seeds)")
 
 
 # ---------------------------------------------------------------- criterion 7
 
-def check_context_independence(replicates: int = 20, seed: int = 17) -> CheckResult:
+@_check("context-independence", replicates=4)
+def check_context_independence(replicates: int = 20, seed: int = 17) -> tuple[bool, str]:
     """Regret of the epoch learner barely moves between 4 and 64 contexts,
     while the per-context baseline at least doubles."""
-    t0 = time.time()
     T = 2 ** 14
     u4 = _run_epochal(T, 4, 4, seed, replicates).mean_expected
     u64 = _run_epochal(T, 4, 64, seed, replicates).mean_expected
@@ -329,18 +383,18 @@ def check_context_independence(replicates: int = 20, seed: int = 17) -> CheckRes
     ratio_u = u64 / u4
     ratio_b = b64 / b4
     ok = ratio_u <= 2.0 and ratio_b >= 2.0
-    return _timed("07 context-independence", ok,
-                  f"epoch-learner ratio {ratio_u:.2f} (<= 2), per-context baseline "
-                  f"ratio {ratio_b:.2f} (>= 2), {replicates} seeds", t0)
+    return (ok,
+            f"epoch-learner ratio {ratio_u:.2f} (<= 2), per-context baseline "
+            f"ratio {ratio_b:.2f} (>= 2), {replicates} seeds")
 
 
 # ---------------------------------------------------------------- criterion 8
 
+@_check("independence-number-scaling", replicates=4)
 def check_alpha_scaling(replicates: int = 20, seed: int = 18,
-                        alphas: tuple[int, ...] = (1, 2, 4, 8)) -> CheckResult:
+                        alphas: tuple[int, ...] = (1, 2, 4, 8)) -> tuple[bool, str]:
     """Epoch-learner regret grows with the independence number: monotone up
     to replicate noise, log-log slope in [0.2, 0.8]."""
-    t0 = time.time()
     means, stderrs = [], []
     for a in alphas:
         res = _run_epochal(2 ** 14, a, 8, seed, replicates)
@@ -353,19 +407,18 @@ def check_alpha_scaling(replicates: int = 20, seed: int = 18,
     fit = fit_scaling(list(zip(alphas, means)))
     ok = monotone and 0.2 <= fit.slope <= 0.8
     pts = ", ".join(f"a={a}:{m:.0f}" for a, m in zip(alphas, means))
-    return _timed("08 independence-number-scaling", ok,
-                  f"slope {fit.slope:.3f}±{fit.stderr:.3f} (window [0.2, 0.8]), "
-                  f"monotone={monotone}; {pts}", t0)
+    return (ok,
+            f"slope {fit.slope:.3f}±{fit.stderr:.3f} (window [0.2, 0.8]), "
+            f"monotone={monotone}; {pts}")
 
 
 # ---------------------------------------------------------------- criterion 9
 
-def check_graph_inverse_bound(n_graphs: int = 100, seed: int = 19) -> CheckResult:
+@_check("graph-inverse-bound", n_graphs=30)
+def check_graph_inverse_bound(n_graphs: int = 100, seed: int = 19) -> tuple[bool, str]:
     """Inverse-neighborhood-mass bound on random self-looped graphs with
     weights floored at 1e-3, independence numbers from the enumeration oracle."""
     from .diagnostics import graph_inverse_bound
-
-    t0 = time.time()
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     eps = 1e-3
     violations = 0
@@ -382,16 +435,16 @@ def check_graph_inverse_bound(n_graphs: int = 100, seed: int = 19) -> CheckResul
         worst_margin = min(worst_margin, rhs - lhs)
         if lhs > rhs:
             violations += 1
-    return _timed("09 graph-inverse-bound", violations == 0,
-                  f"{violations} violations over {n_graphs} graphs, "
-                  f"smallest margin {worst_margin:.2f}", t0)
+    return (violations == 0,
+            f"{violations} violations over {n_graphs} graphs, "
+            f"smallest margin {worst_margin:.2f}")
 
 
 # --------------------------------------------------------------- criterion 10
 
-def check_independence_oracle(n_graphs: int = 500, seed: int = 20) -> CheckResult:
+@_check("independence-oracle-equivalence", n_graphs=120)
+def check_independence_oracle(n_graphs: int = 500, seed: int = 20) -> tuple[bool, str]:
     """Branch-and-bound equals the 2^K enumeration oracle on random graphs."""
-    t0 = time.time()
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     mismatches = 0
     for i in range(n_graphs):
@@ -405,8 +458,8 @@ def check_independence_oracle(n_graphs: int = 500, seed: int = 20) -> CheckResul
         graph = FeedbackGraph(out)
         if graph.alpha != independence_number_bruteforce(graph):
             mismatches += 1
-    return _timed("10 independence-oracle-equivalence", mismatches == 0,
-                  f"{mismatches} mismatches over {n_graphs} random graphs (K <= 16)", t0)
+    return (mismatches == 0,
+            f"{mismatches} mismatches over {n_graphs} random graphs (K <= 16)")
 
 
 # --------------------------------------------------------------- criterion 11
@@ -447,27 +500,28 @@ def _determinism_configs(seed: int) -> list[RunConfig]:
     ]
 
 
-def check_determinism(seed: int = 21, workdir: str | None = None) -> CheckResult:
+@_check("determinism")
+def check_determinism(seed: int = 21) -> tuple[bool, str]:
     """Every acceptance config family, run twice at the same seed, serializes
-    to byte-identical trace files."""
-    t0 = time.time()
-    base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="crossbandit-det-"))
+    to byte-identical trace files, in a temporary directory removed on return."""
     mismatched: list[str] = []
     n_files = 0
-    for idx, config in enumerate(_determinism_configs(seed)):
-        paths = []
-        for attempt in range(2):
-            result = run(config)
-            for trace in result.traces:
-                path = base / f"cfg{idx}_run{attempt}_rep{trace.replicate}.ndjson"
-                trace.write_ndjson(path)
-                paths.append(path)
-        half = len(paths) // 2
-        for p1, p2 in zip(paths[:half], paths[half:]):
-            n_files += 1
-            if not filecmp.cmp(p1, p2, shallow=False):
-                mismatched.append(p1.name)
-    return _timed("11 determinism", not mismatched,
-                  f"{n_files} trace-file pairs byte-compared"
-                  + (f"; mismatches: {mismatched}" if mismatched else ""), t0)
+    with tempfile.TemporaryDirectory(prefix="crossbandit-det-") as tmp:
+        base = Path(tmp)
+        for idx, config in enumerate(_determinism_configs(seed)):
+            paths = []
+            for attempt in range(2):
+                result = run(config)
+                for trace in result.traces:
+                    path = base / f"cfg{idx}_run{attempt}_rep{trace.replicate}.ndjson"
+                    trace.write_ndjson(path)
+                    paths.append(path)
+            half = len(paths) // 2
+            for p1, p2 in zip(paths[:half], paths[half:]):
+                n_files += 1
+                if not filecmp.cmp(p1, p2, shallow=False):
+                    mismatched.append(p1.name)
+    return (not mismatched,
+            f"{n_files} trace-file pairs byte-compared"
+            + (f"; mismatches: {mismatched}" if mismatched else ""))
 

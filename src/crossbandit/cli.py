@@ -73,7 +73,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_checks
+    from .acceptance import run_checks
 
     names = args.only.split(",") if args.only else None
     results = run_checks(level=args.level, names=names)

@@ -167,8 +167,9 @@ class TableOracle(LossOracle):
     @classmethod
     def from_csv(cls, path: str | Path) -> "TableOracle":
         """Long format with columns t,c,a,loss (header optional). The tensor
-        must be fully covered."""
+        must be fully covered, each cell once."""
         rows = []
+        first_line: dict[tuple, int] = {}  # (t, c, a) -> the line that set it
         with open(path, newline="") as fh:
             for line, rec in enumerate(csv.reader(fh), 1):
                 if not rec or not rec[0].strip() or rec[0].strip().lower() == "t":
@@ -180,6 +181,10 @@ class TableOracle(LossOracle):
                 if row is None or min(row[:3]) < 0:
                     raise ValueError(f"loss table {path} line {line}: need integers "
                                      f"t,c,a >= 0 and a numeric loss, got {rec!r}")
+                if row[:3] in first_line:
+                    raise ValueError(f"loss table {path} line {line}: cell t,c,a = "
+                                     f"{row[:3]} repeats line {first_line[row[:3]]}")
+                first_line[row[:3]] = line
                 rows.append(row)
         if not rows:
             raise ValueError(f"loss table {path} is empty")

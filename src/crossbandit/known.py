@@ -52,7 +52,7 @@ class KnownDistLearner(Replayable):
     _COPIED = ("cum",)
 
     def __init__(self, graph: FeedbackGraph, nu: np.ndarray, eta: float,
-                 check_inverse_bound: bool = True, replicates: int = 1):
+                 replicates: int = 1):
         if not graph.has_all_self_loops():
             raise ValueError("learner requires a self-loop at every arm")
         if not graph.strongly_observable:
@@ -67,7 +67,6 @@ class KnownDistLearner(Replayable):
         self.cum = np.zeros((replicates, self.num_contexts, self.num_arms))
         self._replicates = np.arange(replicates)
         self.t = 0  # rounds completed
-        self.check_inverse_bound = check_inverse_bound
         self._dists: np.ndarray | None = None  # exp_weights(cum), built on demand
 
     def distributions(self) -> np.ndarray:
@@ -118,7 +117,7 @@ class KnownDistLearner(Replayable):
         self.cum[reps, :, cols] += (losses / w_cols).T  # one cell per (replicate, arm, context)
         self._dists = None
         self.t += 1
-        if self.check_inverse_bound and self.t % self.CHECK_EVERY == 0:
+        if self.t % self.CHECK_EVERY == 0:
             self._check_inverse_bound(p_bar, w)
 
     def _check_inverse_bound(self, p_bar: np.ndarray, w: np.ndarray) -> None:

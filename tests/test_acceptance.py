@@ -5,8 +5,10 @@ pass/fail lines as they complete (several minutes total; the horizon-scaling
 sweep dominates). The same checks back `crossbandit verify --level full`.
 """
 
+import inspect
+import tempfile
+
 import numpy as np
-import pytest
 
 from crossbandit import acceptance
 
@@ -16,48 +18,41 @@ def _report(result):
     assert result.passed, result.detail
 
 
-def test_criterion_01_estimator_unbiasedness():
-    _report(acceptance.check_estimator_unbiasedness(n_replays=100_000))
+def _graded(entry):
+    def test():
+        _report(entry.fn())
+    test.__name__ = "test_criterion_" + entry.label.replace(" ", "_").replace("-", "_")
+    return test
 
 
-def test_criterion_02_used_feedback_marginal():
-    _report(acceptance.check_used_feedback_marginal(n_pairs=100_000))
+# One test per registered check, at its graded scale, named after its printed
+# label: test_criterion_01_estimator_unbiasedness, ...
+for _entry in acceptance.CHECKS:
+    _test = _graded(_entry)
+    globals()[_test.__name__] = _test
 
 
-def test_criterion_03_importance_estimate_unbiased():
-    _report(acceptance.check_importance_estimate_unbiased(n_epochs=10_000))
+def test_registry_numbers_every_check_once_with_binding_quick_scales():
+    assert [entry.label for entry in acceptance.CHECKS] == [
+        "01 estimator-unbiasedness", "02 used-feedback-marginal",
+        "03 importance-estimate-unbiased", "04 concentration-events",
+        "05 rejection-inactivity", "06 horizon-scaling", "07 context-independence",
+        "08 independence-number-scaling", "09 graph-inverse-bound",
+        "10 independence-oracle-equivalence", "11 determinism",
+    ]
+    names = acceptance.check_names()
+    assert len(set(names)) == len(names)
+    for entry in acceptance.CHECKS:
+        inspect.signature(entry.fn).bind(**entry.quick)  # a misspelt keyword raises
 
 
-def test_criterion_04_concentration_events():
-    _report(acceptance.check_concentration_events(n_epochs=205))
-
-
-def test_criterion_05_rejection_inactivity():
-    _report(acceptance.check_rejection_inactivity(replicates=20))
-
-
-def test_criterion_06_horizon_scaling():
-    _report(acceptance.check_t_scaling(replicates=20))
-
-
-def test_criterion_07_context_independence():
-    _report(acceptance.check_context_independence(replicates=20))
-
-
-def test_criterion_08_alpha_scaling():
-    _report(acceptance.check_alpha_scaling(replicates=20))
-
-
-def test_criterion_09_graph_inverse_bound():
-    _report(acceptance.check_graph_inverse_bound(n_graphs=100))
-
-
-def test_criterion_10_independence_oracle():
-    _report(acceptance.check_independence_oracle(n_graphs=500))
-
-
-def test_criterion_11_determinism(tmp_path):
-    _report(acceptance.check_determinism(workdir=tmp_path))
+def test_determinism_check_leaves_no_files_behind(tmp_path, monkeypatch):
+    configs = acceptance._determinism_configs
+    monkeypatch.setattr(acceptance, "_determinism_configs",
+                        lambda seed: configs(seed)[4:])  # the two cheapest families
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert acceptance.check_determinism().passed
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestCheckSensitivity:

@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -230,19 +230,19 @@ class TestCli:
         assert "[PASS] 04 concentration-events" in capsys.readouterr().out
 
     def test_verify_rejects_unknown_names_before_running_any(self, monkeypatch):
-        from crossbandit import verify
-        from crossbandit.acceptance import CheckResult
+        from crossbandit import acceptance
 
         calls = []
 
-        def record():
+        def record(**_):
             calls.append(1)
-            return CheckResult(name="recorded", passed=True, detail="", seconds=0.0)
+            return acceptance.CheckResult(name="recorded", passed=True, detail="",
+                                          seconds=0.0)
 
-        monkeypatch.setattr(verify, "_CHECKS",
-                            [(name, record, record) for name in verify.check_names()])
+        monkeypatch.setattr(acceptance, "CHECKS",
+                            [replace(entry, fn=record) for entry in acceptance.CHECKS])
         with pytest.raises(ValueError, match="typo"):
-            verify.run_checks("full", names=["horizon-scaling", "typo"])
+            acceptance.run_checks("full", names=["horizon-scaling", "typo"])
         assert calls == []
 
     def test_verify_unknown_check_name(self, capsys):

@@ -85,6 +85,13 @@ class TestTableOracle:
         with pytest.raises(ValueError, match="line 4"):
             TableOracle.from_csv(path)
 
+    def test_csv_repeated_cell_names_file_and_line(self, tmp_path):
+        # a repeat would otherwise silently overwrite the first value
+        path = tmp_path / "loss.csv"
+        path.write_text("t,c,a,loss\n0,0,0,0.1\n0,0,1,0.3\n0,0,0,0.9\n")
+        with pytest.raises(ValueError, match=f"{path} line 4: .*repeats line 2"):
+            TableOracle.from_csv(path)
+
     def test_csv_non_numeric_cell_names_file_and_line(self, tmp_path):
         path = tmp_path / "loss.csv"
         path.write_text("t,c,a,loss\n0,0,0,0.2\n0,0,1,abc\n")

@@ -133,7 +133,7 @@ class TestEstimatorMoments:
 
     def _frozen(self, spec, seed):
         graph = build_graph(spec, rng_seed=2)
-        lrn = KnownDistLearner(graph, NU, eta=0.05, check_inverse_bound=False)
+        lrn = KnownDistLearner(graph, NU, eta=0.05)
         oracle = StochasticGapOracle(gap_means(4, graph.num_arms, best_stride=3),
                                      num_rounds=200, seed=seed)
         rng = np.random.default_rng(seed)
@@ -213,8 +213,7 @@ class TestGuards:
             0.5 * np.sqrt(np.log(16) / (4 * 4096)))
 
     def test_inverse_bound_check_passes_on_normal_run(self):
-        graph, lrn = make(GraphSpec(kind="disjoint_cliques", clique_sizes=(4, 4)),
-                          eta=0.05, check_inverse_bound=True)
+        graph, lrn = make(GraphSpec(kind="disjoint_cliques", clique_sizes=(4, 4)), eta=0.05)
         oracle = StochasticGapOracle(gap_means(4, 8, best_stride=3), num_rounds=400, seed=2)
         rng = np.random.default_rng(3)
         for t in range(400):
