@@ -76,8 +76,6 @@ _KEYS = {
     ("params", "gamma"): (RunConfig, "gamma", float),
     ("params", "epoch_len"): (RunConfig, "epoch_len", int),
     ("params", "iota"): (RunConfig, "iota", float),
-    ("params", "eta_scale"): (RunConfig, "eta_scale", float),
-    ("params", "gamma_ix"): (RunConfig, "gamma_ix", float),
     ("output", "dir"): (RunConfig, "output_dir", str),
     ("output", "trace"): (RunConfig, "trace_level", str),
     ("output", "diagnostics"): (RunConfig, "diagnostics", _bool),

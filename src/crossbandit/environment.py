@@ -72,10 +72,9 @@ class Play(NamedTuple):
       estimates, or None.
     * ``update(revs) -> None`` (batched learners) folds round t's reveals,
       one per replicate in row order, into the replicates' estimates.
-    * ``state()`` and ``restore(state)`` (the known-distribution and epoch
-      learners) save the whole learner and put it back, so a Monte-Carlo
-      replay can run one frozen round, pair or epoch many times. A state
-      can be restored any number of times.
+    * ``state()`` and ``restore(state)`` (the epoch learner) save the whole
+      learner and put it back, so a Monte-Carlo replay can run one frozen
+      pair or epoch many times. A state can be restored any number of times.
 
     A returned ``q``, a table returned by ``distributions()``, and the epoch
     learner's snapshot and in-mass tables are never written afterwards:
@@ -178,9 +177,9 @@ class TableOracle(LossOracle):
                     row = tuple(map(int, rec[:3])) + (float(rec[3]),)
                 except (ValueError, IndexError):
                     row = None
-                if row is None or min(row[:3]) < 0:
+                if row is None or min(row[:3]) < 0 or not np.isfinite(row[3]):
                     raise ValueError(f"loss table {path} line {line}: need integers "
-                                     f"t,c,a >= 0 and a numeric loss, got {rec!r}")
+                                     f"t,c,a >= 0 and a finite loss, got {rec!r}")
                 if row[:3] in first_line:
                     raise ValueError(f"loss table {path} line {line}: cell t,c,a = "
                                      f"{row[:3]} repeats line {first_line[row[:3]]}")

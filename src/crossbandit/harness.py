@@ -45,6 +45,7 @@ from .simplex import check_simplex
 from .unknown import (
     EpochLearner,
     ParamSchedule,
+    default_iota,
     nearest_compatible_horizon,
     schedule_params,
 )
@@ -100,8 +101,6 @@ class RunConfig:
     gamma: float | None = None
     epoch_len: int | None = None
     iota: float | None = None
-    eta_scale: float = 1.0
-    gamma_ix: float | None = None
     # outputs
     trace_level: str = "light"  # light | full
     diagnostics: bool = False
@@ -113,16 +112,16 @@ class ConfigError(ValueError):
 
 
 def resolve_schedule(config: RunConfig, graph: FeedbackGraph) -> ParamSchedule:
-    """Epoch-learner parameters from the config and its built graph, validated
-    against the horizon."""
+    """Epoch-learner parameters from the config and its built graph. The auto
+    schedule splits the horizon into whole epochs; a manual epoch length is
+    checked against it."""
     T, K = config.horizon, graph.num_arms
     if config.param_mode == "manual" and None in (config.epoch_len, config.eta, config.gamma):
         raise ConfigError("manual mode needs epoch_len, eta and gamma")
     try:
         if config.param_mode == "auto":
-            return schedule_params(K, T, graph.alpha,
-                                   tuned_scale=config.tuned_scale, fit_horizon=True)
-        iota = config.iota if config.iota is not None else 2.0 * math.log(8.0 * K * T * T)
+            return schedule_params(K, T, graph.alpha, tuned_scale=config.tuned_scale)
+        iota = config.iota if config.iota is not None else default_iota(K, T)
         schedule = ParamSchedule(iota=float(iota), epoch_len=int(config.epoch_len),
                                  gamma=float(config.gamma), eta=float(config.eta))
     except ValueError as exc:
@@ -180,6 +179,8 @@ class RunPlan:
 
 def validate_config(config: RunConfig) -> RunPlan:
     """Fail fast on anything inconsistent, or return the run's plan."""
+    if config.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     if config.algo not in ALGOS:
         raise ConfigError(f"unknown algo {config.algo!r}; expected one of {ALGOS}")
     if config.param_mode not in ("auto", "manual"):
@@ -194,10 +195,6 @@ def validate_config(config: RunConfig) -> RunPlan:
         raise ConfigError("need at least one context")
     if config.param_mode == "manual" and config.eta is not None and not config.eta > 0:
         raise ConfigError(f"manual eta must be positive, got {config.eta!r}")
-    if config.algo == "known" and not config.eta_scale > 0:
-        raise ConfigError(f"eta_scale must be positive, got {config.eta_scale!r}")
-    if config.gamma_ix is not None and not config.gamma_ix >= 0:
-        raise ConfigError(f"gamma_ix must be nonnegative, got {config.gamma_ix!r}")
     T, M = config.horizon, config.num_contexts
     try:
         graph = build_graph(config.graph, rng_seed=config.seed)
@@ -232,13 +229,11 @@ def make_learner(plan: RunPlan, replicates: int = 1):
         return UniformBaseline(graph, M, replicates)
     eta = config.eta if config.param_mode == "manual" else None  # validated > 0 if set
     if config.algo == "known":
-        return KnownDistLearner(graph, plan.nu, eta or default_learning_rate(
-            K, T, graph.alpha, scale=config.eta_scale), replicates=replicates)
+        return KnownDistLearner(graph, plan.nu, eta or default_learning_rate(K, T, graph.alpha),
+                                replicates=replicates)
     per_context = config.algo == "per_context_exp3g"
-    eta_default, gix_default = baseline_rates(K, T, graph.alpha,
-                                              num_states=M if per_context else 1)
-    return GraphExp3Baseline(graph, M, eta=eta or eta_default,
-                             gamma_ix=gix_default if config.gamma_ix is None else config.gamma_ix,
+    eta_default, gamma_ix = baseline_rates(K, T, graph.alpha, num_states=M if per_context else 1)
+    return GraphExp3Baseline(graph, M, eta=eta or eta_default, gamma_ix=gamma_ix,
                              per_context=per_context, replicates=replicates)
 
 

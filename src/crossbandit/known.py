@@ -18,23 +18,23 @@ from collections.abc import Sequence
 import numpy as np
 
 from .diagnostics import graph_inverse_bound
-from .environment import Play, Replayable, Reveal
+from .environment import Play, Reveal
 from .graph import FeedbackGraph
 from .simplex import check_simplex, exp_weights, sample_arm
 
 
-def default_learning_rate(num_arms: int, horizon: int, alpha: int, scale: float = 1.0) -> float:
-    """sqrt(log K / (alpha * T)) with a configurable constant."""
+def default_learning_rate(num_arms: int, horizon: int, alpha: int) -> float:
+    """sqrt(log K / (alpha * T))."""
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    return scale * math.sqrt(math.log(num_arms) / (alpha * horizon))
+    return math.sqrt(math.log(num_arms) / (alpha * horizon))
 
 
 class InvariantViolation(RuntimeError):
     """An internal run invariant failed; carries the offending round index."""
 
 
-class KnownDistLearner(Replayable):
+class KnownDistLearner:
     """Exponential-weights learner for a known context distribution, batched
     over ``replicates`` independent replicates (see ``environment.Play``).
 
@@ -42,14 +42,13 @@ class KnownDistLearner(Replayable):
     (R, M, K) table of playing distributions is built at most once per state
     of ``cum``: ``act`` reads its rows, ``update`` weighs the reveals with
     it, and full traces hash it. The table is read-only and only ever
-    rebound, so states share it. Every product over the replicate axis is a
-    stacked ``np.matmul``, which gives each replicate the bits of its own
-    product. Single-threaded per instance.
+    rebound. Every product over the replicate axis is a stacked
+    ``np.matmul``, which gives each replicate the bits of its own product.
+    Single-threaded per instance.
     """
 
     # Bound check cadence for the inverse-importance diagnostic.
     CHECK_EVERY = 100
-    _COPIED = ("cum",)
 
     def __init__(self, graph: FeedbackGraph, nu: np.ndarray, eta: float,
                  replicates: int = 1):

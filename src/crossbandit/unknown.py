@@ -68,17 +68,25 @@ def nearest_compatible_horizon(T: int, epoch_len: int) -> int:
     return mult * epoch_len
 
 
-def schedule_params(K: int, T: int, alpha: int, tuned_scale: float = 1.0,
-                    fit_horizon: bool = False) -> ParamSchedule:
+def default_iota(K: int, T: int) -> float:
+    """The confidence parameter iota = 2 log(8 K T^2)."""
+    return 2.0 * math.log(8.0 * K * T * T)
+
+
+def _snapped_epoch_len(T: int, raw: float) -> int:
+    """The even divisor of T with at least two epochs closest to ``raw``."""
+    candidates = even_divisors(T)
+    if not candidates:
+        raise ValueError(f"T={T} has no even divisor with at least two epochs")
+    return min(candidates, key=lambda d: (abs(d - raw), d))
+
+
+def schedule_params(K: int, T: int, alpha: int, tuned_scale: float = 1.0) -> ParamSchedule:
     """Parameter schedule from the horizon-dependent formulas.
 
-    iota = 2 log(8 K T^2); L = sqrt(iota * alpha * T / log K) rounded to the
-    nearest even integer in [2, T/2]; gamma = tuned_scale * 16 iota / L;
-    eta = gamma / (2 (2 L gamma + iota)).
-
-    With ``fit_horizon`` the epoch length snaps to the even divisor of T
-    closest to the formula value, so T splits into whole epochs; gamma and
-    eta are recomputed from the snapped length.
+    iota = 2 log(8 K T^2); L = the even divisor of T closest to
+    sqrt(iota * alpha * T / log K), so T splits into whole epochs (at least
+    two); gamma = tuned_scale * 16 iota / L; eta = gamma / (2 (2 L gamma + iota)).
     """
     if K < 2:
         raise ValueError(f"need K >= 2 arms, got {K}")
@@ -89,19 +97,8 @@ def schedule_params(K: int, T: int, alpha: int, tuned_scale: float = 1.0,
     if tuned_scale <= 0:
         raise ValueError(f"tuned_scale must be positive, got {tuned_scale}")
 
-    iota = 2.0 * math.log(8.0 * K * T * T)
-    raw = math.sqrt(iota * alpha * T / math.log(K))
-    L = int(2 * round(raw / 2.0))
-    max_even = (T // 2) - ((T // 2) % 2)
-    L = max(2, min(L, max(2, max_even)))
-    if fit_horizon:
-        candidates = even_divisors(T)
-        if not candidates:
-            raise ValueError(
-                f"T={T} has no even divisor with at least two epochs; "
-                f"nearest compatible horizon for L={L} is {nearest_compatible_horizon(T, L)}"
-            )
-        L = min(candidates, key=lambda d: (abs(d - raw), d))
+    iota = default_iota(K, T)
+    L = _snapped_epoch_len(T, math.sqrt(iota * alpha * T / math.log(K)))
     gamma = tuned_scale * 16.0 * iota / L
     eta = gamma / (2.0 * (2.0 * L * gamma + iota))
     return ParamSchedule(iota=iota, epoch_len=L, gamma=gamma, eta=eta)
@@ -118,13 +115,9 @@ def tuned_schedule(K: int, T: int, alpha: int) -> ParamSchedule:
     """
     if K < 2 or T < 4 or alpha < 1:
         raise ValueError("need K >= 2, T >= 4, alpha >= 1")
-    raw = math.sqrt(alpha * T)
-    candidates = even_divisors(T)
-    if not candidates:
-        raise ValueError(f"T={T} has no even divisor with at least two epochs")
-    L = min(candidates, key=lambda d: (abs(d - raw), d))
+    L = _snapped_epoch_len(T, math.sqrt(alpha * T))
     return ParamSchedule(
-        iota=2.0 * math.log(8.0 * K * T * T),
+        iota=default_iota(K, T),
         epoch_len=L,
         gamma=2.0 / L,
         eta=0.5 * math.sqrt(math.log(K) / (alpha * T)),

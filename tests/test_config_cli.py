@@ -45,9 +45,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config(write_cfg(tmp_path, text))
 
-    def test_unknown_key_rejected_with_path(self, tmp_path):
-        text = MINIMAL + "\n[params]\nmode = auto\nbogus_knob = 1\n"
-        with pytest.raises(ConfigError, match="params.bogus_knob"):
+    @pytest.mark.parametrize("key", ["bogus_knob", "eta_scale", "gamma_ix"])
+    def test_unknown_key_rejected_with_path(self, tmp_path, key):
+        text = MINIMAL + f"\n[params]\nmode = auto\n{key} = 1\n"
+        with pytest.raises(ConfigError, match=f"params.{key}"):
             parse_config(write_cfg(tmp_path, text))
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -138,8 +139,6 @@ eta = 0.01
 gamma = 0.05
 epoch_len = 16
 iota = 6
-eta_scale = 2
-gamma_ix = 0.1
 
 [output]
 dir = out
@@ -153,7 +152,7 @@ diagnostics = yes
             graph=GraphSpec(kind="ordered_triangular", num_arms=4), oracle=oracle,
             num_contexts=2, horizon=64, algo="unknown", seed=9, nu=(0.25, 0.75), replicates=3,
             param_mode="manual", tuned_scale=0.5, eta=0.01, gamma=0.05, epoch_len=16, iota=6.0,
-            eta_scale=2.0, gamma_ix=0.1, trace_level="full", diagnostics=True, output_dir="out")
+            trace_level="full", diagnostics=True, output_dir="out")
 
     def test_unknown_keys_are_reported_before_missing_ones(self, tmp_path):
         text = MINIMAL.replace("seed = 3\n", "") + "\n[params]\nbogus = 1\n"

@@ -92,6 +92,14 @@ class TestTableOracle:
         with pytest.raises(ValueError, match=f"{path} line 4: .*repeats line 2"):
             TableOracle.from_csv(path)
 
+    @pytest.mark.parametrize("loss", ["nan", "inf"])
+    def test_csv_non_finite_loss_names_file_and_line(self, tmp_path, loss):
+        # a NaN would otherwise read as a cell the table does not cover
+        path = tmp_path / "loss.csv"
+        path.write_text(f"t,c,a,loss\n0,0,0,0.5\n0,0,1,{loss}\n")
+        with pytest.raises(ValueError, match=f"{path} line 3: .*'{loss}'"):
+            TableOracle.from_csv(path)
+
     def test_csv_non_numeric_cell_names_file_and_line(self, tmp_path):
         path = tmp_path / "loss.csv"
         path.write_text("t,c,a,loss\n0,0,0,0.2\n0,0,1,abc\n")

@@ -192,8 +192,7 @@ class TestValidation:
     # or the auto schedule formulas would otherwise raise on it. A callable
     # case writes its files under tmp_path first.
     @pytest.mark.parametrize("kw", [
-        dict(algo="known", eta_scale=0.0),
-        dict(algo="per_context_exp3g", gamma_ix=-0.1),
+        dict(seed=-1),
         dict(oracle=OracleSpec(kind="stochastic_gap", base=0.7, gap=0.4)),
         dict(oracle=OracleSpec(kind="adversarial_shift", low=0.8, high=0.2)),
         dict(oracle=OracleSpec(kind="auction", value_grid=(0.1, 0.5, 0.9))),
@@ -210,7 +209,7 @@ class TestValidation:
         lambda tmp: dict(oracle=_table_spec(tmp, rounds=255)),
         lambda tmp: dict(oracle=_bids_spec(tmp, rounds=255)),
         lambda tmp: dict(oracle=OracleSpec(kind="auction", bids_path=str(tmp / "none.csv"))),
-    ], ids=["eta_scale", "gamma_ix", "gap_means", "shift_bounds", "value_grid", "bid_grid",
+    ], ids=["negative_seed", "gap_means", "shift_bounds", "value_grid", "bid_grid",
             "value_grid_unsorted", "value_grid_above_1", "bid_grid_descending",
             "bid_grid_negative", "auto_T1", "auto_T2", "auto_T3", "tuned_scale",
             "tuned_scale_nan", "manual_gamma_nan", "table_missing", "table_short", "bids_short", "bids_missing"])

@@ -149,20 +149,19 @@ class TestEstimatorMoments:
         losses = 0.1 + 0.8 * rng.random((4, 6))
         dense = TableOracle(losses[None])
         n = 20_000
-        s0, t0 = lrn.state(), lrn.t
         cum0 = lrn.cum[0].copy()
         w = lrn.importance()[0]
-        total = np.zeros_like(cum0)
-        obs = np.zeros(6)
-        for _ in range(n):
-            lrn.restore(s0)
-            c = sample_context(NU, rng.random(1))
-            a = lrn.act(t0, c, rng.random(1)).arm[0]
-            rev = reveal(dense, graph, 0, a)
-            lrn.update([rev])
-            obs[rev.arms] += 1
-            total += lrn.cum[0]
-        mean_est = total / n - cum0
+        # Each row replays the frozen round once, with the context and arm
+        # uniforms one replay alone would draw.
+        replays = KnownDistLearner(graph, NU, eta=lrn.eta, replicates=n)
+        replays.cum[:] = lrn.cum
+        replays.t = lrn.t
+        u = rng.random(2 * n)
+        arms = replays.act(lrn.t, sample_context(NU, u[0::2]), u[1::2]).arm
+        revs = [reveal(dense, graph, 0, a) for a in arms.tolist()]
+        replays.update(revs)
+        obs = np.bincount(np.concatenate([rev.arms for rev in revs]), minlength=6)
+        mean_est = replays.cum.sum(axis=0) / n - cum0
         p_hat = obs / n
         se = (losses / w) * np.sqrt(p_hat * (1 - p_hat) / n)
         assert np.all(np.abs(mean_est - losses) <= 3 * se + 1e-12)
@@ -209,8 +208,6 @@ class TestGuards:
     def test_default_learning_rate_formula(self):
         assert default_learning_rate(16, 4096, 4) == pytest.approx(
             np.sqrt(np.log(16) / (4 * 4096)))
-        assert default_learning_rate(16, 4096, 4, scale=0.5) == pytest.approx(
-            0.5 * np.sqrt(np.log(16) / (4 * 4096)))
 
     def test_inverse_bound_check_passes_on_normal_run(self):
         graph, lrn = make(GraphSpec(kind="disjoint_cliques", clique_sizes=(4, 4)), eta=0.05)

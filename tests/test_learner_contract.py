@@ -106,7 +106,7 @@ def test_traces_keep_the_contract(graph, algo, M, epochs, eta, seed):
     assert np.isclose(summary.per_context_expected.sum(), summary.expected)
 
 
-@pytest.mark.parametrize("algo", ["known", "unknown"])
+@pytest.mark.parametrize("algo", ["unknown"])
 def test_a_state_replays_identically_across_epoch_ends(algo):
     graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
     plan = _plan(graph, algo, 2, 6, 1.0, 0)

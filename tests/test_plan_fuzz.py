@@ -34,8 +34,7 @@ from crossbandit.harness import (
 HORIZONS = (0, 1, 2, 3, 4, 8, 16)
 FAULTS = ("one_arm", "graph_file_missing", "graph_loopless", "nu_length", "oracle_params",
           "auction_grid", "file_short", "file_missing", "file_malformed", "table_shape",
-          "tuned_scale", "eta_scale", "gamma_ix", "manual_eta", "manual_unset",
-          "manual_odd_epoch")
+          "tuned_scale", "manual_eta", "manual_unset", "manual_odd_epoch", "negative_seed")
 
 
 @st.composite
@@ -59,7 +58,6 @@ def cases(draw):
         manual=manual, epoch_len=draw(st.sampled_from((2, 4))),
         manual_eta=draw(st.sampled_from((None, 0.5))), iota=draw(st.sampled_from((None, 6.0))),
         tuned_scale=draw(st.sampled_from((1.0, 0.02))),
-        gamma_ix=draw(st.sampled_from((None, 0.1))),
         replicates=draw(st.integers(1, 2)), seed=draw(st.integers(0, 2 ** 16)),
         trace_level=draw(st.sampled_from(("light", "full"))), diagnostics=draw(st.booleans()),
     )
@@ -126,15 +124,14 @@ def _config(case, tmp: Path) -> RunConfig:
     else:
         nu = tuple(np.arange(1, M + 1) / (M * (M + 1) / 2)) if case["given_nu"] else None
     params = dict(param_mode="manual" if case["manual"] else "auto",
-                  tuned_scale=-1.0 if fault == "tuned_scale" else case["tuned_scale"],
-                  eta_scale=0.0 if fault == "eta_scale" else 1.0,
-                  gamma_ix=-0.1 if fault == "gamma_ix" else case["gamma_ix"])
+                  tuned_scale=-1.0 if fault == "tuned_scale" else case["tuned_scale"])
     if case["manual"]:
         params.update(epoch_len=3 if fault == "manual_odd_epoch" else case["epoch_len"],
                       eta=-1.0 if fault == "manual_eta" else case["manual_eta"],
                       gamma=None if fault == "manual_unset" else 0.1, iota=case["iota"])
     return RunConfig(graph=_graph_spec(case, tmp), oracle=_oracle_spec(case, tmp),
-                     num_contexts=M, horizon=case["T"], algo=case["algo"], seed=case["seed"],
+                     num_contexts=M, horizon=case["T"], algo=case["algo"],
+                     seed=-1 - case["seed"] if fault == "negative_seed" else case["seed"],
                      nu=nu, replicates=case["replicates"], trace_level=case["trace_level"],
                      diagnostics=case["diagnostics"], **params)
 

@@ -34,12 +34,12 @@ class TestSchedule:
         s = schedule_params(16, 4096, 4)
         iota = 2 * math.log(8 * 16 * 4096 ** 2)
         assert s.iota == pytest.approx(iota, rel=1e-12)
-        assert s.epoch_len == 504  # nearest even integer to the formula value
-        assert s.gamma == pytest.approx(16 * iota / 504, rel=1e-12)
-        assert s.eta == pytest.approx(s.gamma / (2 * (2 * 504 * s.gamma + iota)), rel=1e-12)
+        assert s.epoch_len == 512  # the even divisor of T closest to the formula's 503.9
+        assert s.gamma == pytest.approx(16 * iota / 512, rel=1e-12)
+        assert s.eta == pytest.approx(s.gamma / (2 * (2 * 512 * s.gamma + iota)), rel=1e-12)
 
     def test_epoch_len_grows_with_alpha(self):
-        T = 2 ** 22  # large enough that even-rounding noise vanishes
+        T = 2 ** 22  # the formula gives 10342 and 41368, which snap to 2^13 and 2^15
         l1 = schedule_params(16, T, 1).epoch_len
         lk = schedule_params(16, T, 16).epoch_len
         assert lk / l1 == pytest.approx(4.0, rel=1e-2)
@@ -52,14 +52,14 @@ class TestSchedule:
             scaled.gamma / (2 * (2 * scaled.epoch_len * scaled.gamma + scaled.iota)),
             rel=1e-12)
 
-    def test_fit_horizon_snaps_to_even_divisor(self):
-        s = schedule_params(16, 2 ** 14, 4, fit_horizon=True)
+    def test_epoch_len_snaps_to_even_divisor(self):
+        s = schedule_params(16, 2 ** 14, 4)
         assert 2 ** 14 % s.epoch_len == 0
         assert s.epoch_len == 1024  # closest even divisor to the formula value
 
-    def test_fit_horizon_impossible(self):
-        with pytest.raises(ValueError):
-            schedule_params(16, 15, 4, fit_horizon=True)
+    def test_no_even_divisor_rejected(self):
+        with pytest.raises(ValueError, match="no even divisor"):
+            schedule_params(16, 15, 4)
 
     def test_nearest_compatible_horizon(self):
         assert nearest_compatible_horizon(1000, 504) == 1008
