@@ -39,7 +39,6 @@ from .unknown import (
     ParamSchedule,
     accept_probability,
     nearest_compatible_horizon,
-    rejection_distribution,
     schedule_params,
     tuned_schedule,
 )

@@ -21,14 +21,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .environment import StochasticGapOracle, TableOracle, gap_means, reveal, sample_context
+from .environment import (
+    LossOracle,
+    StochasticGapOracle,
+    TableOracle,
+    gap_means,
+    reveal,
+    sample_context,
+)
 from .graph import (
     FeedbackGraph,
     GraphSpec,
     build_graph,
     independence_number_bruteforce,
 )
-from .harness import OracleSpec, RunConfig, fit_scaling, run, run_plan, validate_config
+from .harness import OracleSpec, RunConfig, fit_scaling, pair_tape, run, run_plan, validate_config
 from .known import KnownDistLearner
 from .unknown import EpochLearner, ParamSchedule, tuned_schedule
 
@@ -172,7 +179,8 @@ def check_estimator_unbiasedness(n_replays: int = 100_000, seed: int = 11) -> tu
 def _warm_epoch_learner(seed: int, epoch_len: int = 32, stop_epoch: int = 3,
                         stop_pos: int = 0):
     """Drive an epoch learner on a real environment until round ``stop_pos``
-    of epoch ``stop_epoch``."""
+    (even) of epoch ``stop_epoch``, drawing each epoch's uniforms as
+    ``harness.run_replicate`` does."""
     graph = build_graph(GraphSpec(kind="erdos_renyi", num_arms=8, edge_prob=0.25),
                         rng_seed=3)
     nu = np.asarray(_NU4)
@@ -183,11 +191,25 @@ def _warm_epoch_learner(seed: int, epoch_len: int = 32, stop_epoch: int = 3,
     params = ParamSchedule(iota=6.0, epoch_len=epoch_len, gamma=0.05, eta=0.01)
     learner = EpochLearner(graph, M, params)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA]))
-    for t in range((stop_epoch - 1) * epoch_len + stop_pos):
-        c = sample_context(nu, rng.random())
-        a = learner.act(t, c, rng).arm
-        learner.update(reveal(oracle, graph, t, a), rng)
+    for epoch in range(1, stop_epoch + 1):
+        pairs = (epoch_len if epoch < stop_epoch else stop_pos) // 2
+        _play_pairs(learner, graph, oracle,
+                    *pair_tape(rng, nu, pairs, learner.closing_draws))
     return graph, nu, oracle, learner, rng
+
+
+def _play_pairs(learner: EpochLearner, graph: FeedbackGraph, oracle: LossOracle,
+                contexts: np.ndarray, arm_u: np.ndarray, closing_u: np.ndarray):
+    """Play consecutive pairs from the learner's next round with the uniforms
+    of ``harness.pair_tape``; round t reveals the oracle's round t modulo its
+    horizon. Returns the last pair's record."""
+    pair = None
+    for i in range(len(contexts)):
+        t = learner.t
+        arms = learner.act(t, contexts[i], arm_u[i]).arm.tolist()
+        revs = [reveal(oracle, graph, (t + j) % oracle.num_rounds, arms[j]) for j in range(2)]
+        pair = learner.update(revs, closing_u[i])
+    return pair
 
 
 # ---------------------------------------------------------------- criterion 2
@@ -202,14 +224,14 @@ def check_used_feedback_marginal(n_pairs: int = 100_000, seed: int = 12) -> tupl
     dense = TableOracle(0.05 + 0.9 * np.random.default_rng(seed).random((2, M, K)))
 
     w_exact = (nu @ graph.in_mass_rows(learner.s_cur)) / 2.0
-    s0, t_frozen = learner.state(), learner.t
+    s0 = learner.state()
     used_counts = np.zeros(K)
-    for _ in range(n_pairs):
+    # Row i of the tape holds the uniforms of replay i, as drawn one replay at a time.
+    contexts, arm_u, closing_u = pair_tape(rng, nu, n_pairs, learner.closing_draws)
+    for i in range(n_pairs):
         learner.restore(s0)
-        for offset in range(2):
-            c = sample_context(nu, rng.random())
-            a = learner.act(t_frozen + offset, c, rng).arm
-            pair = learner.update(reveal(dense, graph, offset, a), rng)
+        pair = _play_pairs(learner, graph, dense,
+                           contexts[i:i + 1], arm_u[i:i + 1], closing_u[i:i + 1])
         used_counts += pair.used
 
     rate = used_counts / n_pairs
@@ -231,17 +253,15 @@ def check_importance_estimate_unbiased(n_epochs: int = 10_000, seed: int = 13) -
     graph, nu, oracle, learner, rng = _warm_epoch_learner(seed, epoch_len=32,
                                                           stop_epoch=3, stop_pos=0)
     L = learner.epoch_len
-    s0, t_frozen = learner.state(), learner.t
+    s0 = learner.state()
 
     w_next_exact = (nu @ graph.in_mass_rows(learner.s_next)) / 2.0
     total = np.zeros(learner.num_arms)
     total_sq = np.zeros(learner.num_arms)
     for _ in range(n_epochs):
         learner.restore(s0)
-        for i in range(L):
-            c = sample_context(nu, rng.random())
-            a = learner.act(t_frozen + i, c, rng).arm
-            learner.update(reveal(oracle, graph, (t_frozen + i) % oracle.num_rounds, a), rng)
+        _play_pairs(learner, graph, oracle,
+                    *pair_tape(rng, nu, L // 2, learner.closing_draws))
         # end_epoch fired: the fresh estimate is now the applied one
         total += learner.w_hat
         total_sq += learner.w_hat ** 2

@@ -44,34 +44,38 @@ class Reveal(NamedTuple):
 
 
 class Play(NamedTuple):
-    """What a learner's ``act`` returns: the drawn arm, the distribution ``q``
-    it was drawn from, and ``ftrl``, False only when the epoch learner played
-    its snapshot (the rejection fallback, and every round of epoch 1).
+    """What a learner's ``act`` returns: the drawn arms, the distributions
+    ``q`` they were drawn from, and ``ftrl``, False only where the epoch
+    learner played its snapshot (the rejection fallback, and every round of
+    epoch 1).
 
     Every learner (``KnownDistLearner``, ``EpochLearner``,
     ``GraphExp3Baseline``, ``UniformBaseline``) follows one contract. The
     known-distribution learner and the baselines are batched: they carry a
     leading axis of R replicates, fixed when they are built, and play them in
-    lockstep; R = 1 is one replicate. The epoch learner plays one replicate.
-    Besides the contract, the harness reads only ``distributions()`` for
-    full traces and, at each epoch start, the epoch learner's public
-    ``epoch``, ``w_hat``, ``s_cur``, ``s_next`` and ``s_cur_in`` (the
-    in-neighborhood masses of ``s_cur``'s rows):
+    lockstep; R = 1 is one replicate. The epoch learner plays one replicate,
+    a round pair at a time. Besides the contract, the harness reads only
+    ``distributions()`` for full traces and, at each epoch start, the epoch
+    learner's public ``epoch``, ``w_hat``, ``s_cur``, ``s_next``, ``s_cur_in``
+    (the in-neighborhood masses of ``s_cur``'s rows) and ``closing_draws``:
 
-    * ``act(t, c, rng) -> Play`` (epoch learner) plays round t under context
-      c. It draws the arm from ``rng``.
     * ``act(t, contexts, u) -> Play`` (batched learners) plays round t of
       every replicate: replicate r under context ``contexts[r]``, with its
       arm drawn from the uniform ``u[r]`` by ``simplex.sample_arm``. ``arm``
       then holds R arms, ``q`` is (R, K) and ``ftrl`` is True. Replicate r's
       arm and row depend only on its own state, context and uniform.
+    * ``act(t, contexts, u) -> Play`` (epoch learner) plays rounds t and
+      t + 1, t even: round t + i under context ``contexts[i]``, with its arm
+      drawn from the uniform ``u[i]``. ``arm``, ``q`` and ``ftrl`` are (2,),
+      (2, K) and (2,), one entry or row per round.
     * Neither ``act`` changes the learner's estimates.
-    * ``update(rev, rng) -> PairRecord | None`` (epoch learner) folds round
-      t's ``Reveal`` into the learner and returns the ``PairRecord`` of the
-      pair the round finished, with the arms whose losses fed its
-      estimates, or None.
     * ``update(revs) -> None`` (batched learners) folds round t's reveals,
       one per replicate in row order, into the replicates' estimates.
+    * ``update(revs, u) -> PairRecord | None`` (epoch learner) folds the
+      pair's two ``Reveal``s, in round order, into the learner, with the
+      pair's ``closing_draws`` closing uniforms ``u``. It returns the
+      ``PairRecord`` of the pair, with the arms whose losses fed its
+      estimates, or None in epoch 1.
     * ``state()`` and ``restore(state)`` (the epoch learner) save the whole
       learner and put it back, so a Monte-Carlo replay can run one frozen
       pair or epoch many times. A state can be restored any number of times.
@@ -82,9 +86,9 @@ class Play(NamedTuple):
     without copying it.
     """
 
-    arm: int
+    arm: np.ndarray
     q: np.ndarray
-    ftrl: bool
+    ftrl: np.ndarray | bool
 
 
 class Replayable:

@@ -440,19 +440,35 @@ def _settle(trace: Trace, rows: np.ndarray) -> None:
     trace.best_inst = rows[rounds, pi_star[trace.contexts]]
 
 
+def pair_tape(rng: np.random.Generator, nu: np.ndarray, pairs: int,
+              closing_draws: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uniforms of ``pairs`` consecutive round pairs of the epoch learner,
+    drawn in one call and read as a tape: per pair, the first round's context
+    and arm uniforms, then the second round's, then the pair's
+    ``closing_draws`` closing uniforms. Returns the pairs' contexts and arm
+    uniforms, both (pairs, 2), and their closing uniforms (pairs,
+    closing_draws)."""
+    u = rng.random((pairs, 4 + closing_draws))
+    return sample_context(nu, u[:, 0:4:2]), u[:, 1:4:2], u[:, 4:]
+
+
 def run_replicate(plan: RunPlan, replicate: int) -> Trace:
     """Execute one replicate of a validated plan's full interaction loop on
     its own. A batched learner runs it as ``run_batch`` runs a batch of one.
 
-    Each round's loss row for the drawn context is read from the oracle once
-    and kept in a transient (T, K) buffer; after the last round the buffer
-    yields the realized losses, the per-context loss sums and the hindsight
-    comparator's per-round losses, and is then dropped. The learner is read
-    only through what ``act`` and ``update`` return (``environment.Play``)
-    and, for the epoch learner, its public state at each epoch start. With
-    diagnostics on, the epoch learner's epoch starts and finished pairs also
-    feed a ``diagnostics.EpochObserver``, which sets each epoch's report on
-    its ``EpochRecord``.
+    The epoch learner plays a round pair per ``act`` and ``update`` call,
+    with the uniforms of one ``pair_tape`` per epoch. Each round's loss row is
+    read, and the round revealed, before the next round's, so a chunked oracle
+    builds each chunk once. The rows are kept in a transient (T, K) buffer:
+    each epoch's expected losses are one stacked product with its played rows,
+    and after the last round the buffer yields the realized losses, the
+    per-context loss sums and the hindsight comparator's per-round losses. The
+    learner is read only through what ``act`` and ``update`` return
+    (``environment.Play``), its public state at each epoch start and, for full
+    traces, ``distributions()``, hashed once per pair. With diagnostics on,
+    the epoch starts and finished pairs also feed a
+    ``diagnostics.EpochObserver``, which sets each epoch's report on its
+    ``EpochRecord``.
     """
     config, graph, nu = plan.config, plan.graph, plan.nu
     if config.algo != "unknown":
@@ -467,42 +483,50 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
     oracle_seed, rng = _replicate_seeds(config.seed, replicate)
     oracle = plan.oracle(oracle_seed)
     learner = make_learner(plan)
-    epoch_len = plan.schedule.epoch_len
+    L = plan.schedule.epoch_len
     observer = (diagnostics.EpochObserver(graph, nu, plan.schedule, trace.p_branch)
                 if diag else None)
     rows = np.empty((T, K))
 
-    for t in range(T):
-        if t % epoch_len == 0:
-            er = EpochRecord(
-                epoch=learner.epoch, start_t=t, w_hat=learner.w_hat.copy(),
-                s_cur=learner.s_cur if diag else None,
-                s_next=learner.s_next if diag else None,
-                s_cur_digest=_digest(learner.s_cur),
-                s_next_digest=_digest(learner.s_next),
-            )
-            trace.epochs.append(er)
-            if observer is not None:
-                observer.start_epoch(er, learner.s_cur_in)
+    for start in range(0, T, L):
+        er = EpochRecord(
+            epoch=learner.epoch, start_t=start, w_hat=learner.w_hat.copy(),
+            s_cur=learner.s_cur if diag else None,
+            s_next=learner.s_next if diag else None,
+            s_cur_digest=_digest(learner.s_cur),
+            s_next_digest=_digest(learner.s_next),
+        )
+        trace.epochs.append(er)
+        if observer is not None:
+            observer.start_epoch(er, learner.s_cur_in)
+        contexts, arm_u, closing_u = pair_tape(rng, nu, L // 2, learner.closing_draws)
+        plays = []
+        for i, (c0, c1) in enumerate(contexts.tolist()):
+            t = start + 2 * i
+            if full:
+                # Hashed before act, which leaves every table unchanged: the
+                # pair then plays its rows from the table built here.
+                trace.policy_hashes += [_digest(learner.distributions())] * 2
+            play = learner.act(t, contexts[i], arm_u[i])
+            plays.append(play)
+            a0, a1 = play.arm.tolist()
+            rows[t] = oracle.loss_slice(t)[c0]
+            rev0 = reveal(oracle, graph, t, a0)
+            rows[t + 1] = oracle.loss_slice(t + 1)[c1]
+            rev1 = reveal(oracle, graph, t + 1, a1)
+            pr = learner.update((rev0, rev1), closing_u[i])
+            if observer is not None and pr is not None:
+                trace.used_mask[pr.t_first + pr.loss_offset] = pr.used
+                observer.add_pair(pr)
+        epoch = slice(start, start + L)
+        arms, q, ftrl = (np.concatenate(col) for col in zip(*plays))
+        trace.contexts[epoch] = contexts.ravel()
+        trace.arms[epoch] = arms
+        trace.p_branch[epoch] = ftrl
         if full:
-            # Hashed before act, which leaves every table unchanged: the
-            # epoch learner then plays its row from the table built here.
-            trace.policy_hashes.append(_digest(learner.distributions()))
-        c = sample_context(nu, rng.random())
-        a, q, ftrl = learner.act(t, c, rng)
-        row = oracle.loss_slice(t)[c]
-        rows[t] = row
-        trace.contexts[t] = c
-        trace.arms[t] = a
-        trace.p_branch[t] = ftrl
-        trace.expected_inst[t] = q @ row
-        if full:
-            trace.q_rows[t] = q
-        rev = reveal(oracle, graph, t, a)
-        pr = learner.update(rev, rng)
-        if observer is not None and pr is not None:
-            trace.used_mask[pr.t_first + pr.loss_offset] = pr.used
-            observer.add_pair(pr)
+            trace.q_rows[epoch] = q
+        # each (1, K) @ (K, 1) slice is the dot q @ row of one round
+        trace.expected_inst[epoch] = np.matmul(q[:, None, :], rows[epoch, :, None])[..., 0, 0]
     if observer is not None:
         observer.end_epoch()
     _settle(trace, rows)

@@ -14,11 +14,20 @@ probability that arm a's loss is used exactly
 which the empirical importance estimates without knowing the context
 distribution. Loss estimates carry an implicit-exploration term gamma in the
 denominator.
+
+The learner plays a whole pair per call, and its randomness is a tape whose
+length never depends on the data. Per pair it reads, in this order: the first
+round's context and arm uniforms, the second round's context and arm
+uniforms, and then, after epoch 1, the pair's closing uniforms: one coin,
+which picks the member that feeds the loss estimates, and K thinning
+uniforms. The harness draws an epoch's tape in one call at the epoch start
+(``harness.pair_tape``).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +103,8 @@ def schedule_params(K: int, T: int, alpha: int, tuned_scale: float = 1.0) -> Par
         raise ValueError(f"need T >= 4 rounds, got {T}")
     if alpha < 1:
         raise ValueError(f"need alpha >= 1, got {alpha}")
-    if tuned_scale <= 0:
-        raise ValueError(f"tuned_scale must be positive, got {tuned_scale}")
+    if not (math.isfinite(tuned_scale) and tuned_scale > 0):
+        raise ValueError(f"tuned_scale must be finite and positive, got {tuned_scale}")
 
     iota = default_iota(K, T)
     L = _snapped_epoch_len(T, math.sqrt(iota * alpha * T / math.log(K)))
@@ -124,17 +133,6 @@ def tuned_schedule(K: int, T: int, alpha: int) -> ParamSchedule:
     )
 
 
-def rejection_distribution(p_row: np.ndarray, s_row: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Playing distribution for one round: the FTRL row if no arm's mass fell
-    below half its snapshot mass, else the snapshot row.
-
-    The per-arm test implies the corresponding in-neighborhood inequality for
-    every arm, which keeps all acceptance probabilities at most 1.
-    """
-    use_p = bool((p_row >= 0.5 * s_row).all())
-    return (p_row if use_p else s_row), use_p
-
-
 def accept_probability(s_in: np.ndarray, q_in: np.ndarray) -> np.ndarray:
     """Per-arm thinning probabilities s(N_in(a)) / (2 q(N_in(a))), from the
     in-neighborhood masses of the snapshot row and of the played row.
@@ -161,22 +159,31 @@ class PairRecord:
 
 
 class EpochLearner(Replayable):
-    """Algorithm state for the unknown-distribution setting.
+    """Algorithm state for the unknown-distribution setting, played one round
+    pair at a time.
+
+    ``act(t, contexts, u)`` plays rounds t and t + 1 (t even) from one
+    distribution per context: in epoch 1 the running snapshot's rows, later
+    the rows of the FTRL table ``exp_weights(cum)`` or, per round, the
+    snapshot's row where the rejection test fails. ``cum`` does not change
+    within a pair, and a row of ``exp_weights(cum)`` has the bits of
+    ``exp_weights(cum[c])``, so a pair builds only its two rows, in one call,
+    unless the full (M, K) table already exists: ``distributions()`` builds it
+    on request, and an epoch end makes it the next snapshot. It is then
+    shared with ``act`` until the pair finishes. ``update(revs, u)`` takes the
+    pair's two reveals and its ``closing_draws`` closing uniforms: none in
+    epoch 1, afterwards the pairing coin ``u[0]`` and the K thinning uniforms
+    ``u[1:]``.
 
     Snapshots are stored as frozen probability tables, never recomputed from
     mutable state, so a fixed snapshot can never drift; ``s_cur_in`` holds the
-    running snapshot's in-neighborhood masses, also read-only. A pair builds
-    only the FTRL rows it plays, one per round: ``cum`` does not change
-    between a pair's two rounds, and a row of ``exp_weights(cum)`` has the
-    bits of ``exp_weights(cum[c])``. The full (M, K) table is built only when
-    ``distributions()`` asks for it, or as the next snapshot at an epoch end,
-    and then shared with ``act`` until the pair finishes. Single-threaded per
-    instance.
+    running snapshot's in-neighborhood masses, also read-only. Single-threaded
+    per instance.
     """
 
     # Mutated in place; every other field is rebound (``end_epoch`` makes
     # ``w_hat`` the old ``w_hat_acc`` object and starts a fresh accumulator).
-    _COPIED = ("cum", "w_hat_acc", "_pending")
+    _COPIED = ("cum", "w_hat_acc")
 
     def __init__(self, graph: FeedbackGraph, num_contexts: int, params: ParamSchedule):
         if not graph.has_all_self_loops():
@@ -205,12 +212,17 @@ class EpochLearner(Replayable):
         self.pos = 0                     # rounds consumed within the epoch
         self.t = 0                       # rounds completed overall
         self._dists: np.ndarray | None = None  # exp_weights(cum), built on demand
-        # (context, arm, ftrl, played row, reveal) of the pair's rounds so far
-        self._pending: list[tuple[int, int, bool, np.ndarray, Reveal | None]] = []
+        # (contexts, arms, play) of the pair played and not yet updated
+        self._played: tuple[list[int], list[int], Play] | None = None
 
     @property
     def epoch_len(self) -> int:
         return self.params.epoch_len
+
+    @property
+    def closing_draws(self) -> int:
+        """Closing uniforms ``update`` takes per pair in the running epoch."""
+        return 0 if self.epoch == 1 else 1 + self.num_arms
 
     def distributions(self) -> np.ndarray:
         """The policy table rounds are currently played from, read-only: the
@@ -224,73 +236,73 @@ class EpochLearner(Replayable):
             self._dists.flags.writeable = False
         return self._dists
 
-    def act(self, t: int, context: int, rng: np.random.Generator) -> Play:
+    def act(self, t: int, contexts: np.ndarray, u: np.ndarray) -> Play:
+        """Play rounds t and t + 1 under ``contexts[0]`` and ``contexts[1]``;
+        round t + i draws its arm from the uniform ``u[i]``."""
         if t != self.t:
-            raise ValueError(f"act called for round {t}, expected {self.t}")
-        if not 0 <= context < self.num_contexts:
-            raise ValueError(f"context {context} out of range")
+            raise ValueError(f"act called for round {t}, expected the pair at round {self.t}")
+        cs = contexts.tolist()
+        M = self.num_contexts
+        if len(cs) != 2 or not (0 <= cs[0] < M and 0 <= cs[1] < M):
+            raise ValueError(f"contexts {cs} are not two contexts in [0, {M})")
+        s = self.s_cur[contexts]
         if self.epoch == 1:
-            q = self.s_cur[context]
-            branch_p = False
+            q, ftrl = s, np.zeros(2, dtype=bool)
         else:
-            p = (self._dists[context] if self._dists is not None
-                 else exp_weights(self.cum[context], self.params.eta))
-            q, branch_p = rejection_distribution(p, self.s_cur[context])
-        arm = int(sample_arm(q, rng.random()))
-        self._pending.append((context, arm, branch_p, q, None))
-        return Play(arm, q, branch_p)
+            p = (self._dists[contexts] if self._dists is not None
+                 else exp_weights(self.cum[contexts], self.params.eta))
+            # The rejection test, per round: it holds per arm, so it holds for
+            # every in-neighborhood, which keeps each acceptance probability <= 1.
+            ftrl = (p >= 0.5 * s).all(axis=1)
+            q = p if all(ftrl.tolist()) else np.where(ftrl[:, None], p, s)
+        arm = sample_arm(q, u)
+        play = Play(arm, q, ftrl)
+        self._played = (cs, arm.tolist(), play)
+        return play
 
-    def update(self, rev: Reveal, rng: np.random.Generator) -> PairRecord | None:
-        if not self._pending or self._pending[-1][4] is not None:
+    def update(self, revs: Sequence[Reveal], u: np.ndarray) -> PairRecord | None:
+        """Fold the pair's two reveals into the learner; returns the pair's
+        record, or None in epoch 1, which estimates no losses."""
+        if self._played is None:
             raise RuntimeError("update without a matching act")
-        context, arm, branch_p, q, _ = self._pending[-1]
-        if rev.played_arm != arm:
+        contexts, arms, play = self._played
+        if [rev.played_arm for rev in revs] != arms:
             raise ValueError("reveal does not match the played arm")
-        self._pending[-1] = (context, arm, branch_p, q, rev)
+        if len(u) != self.closing_draws:
+            raise ValueError(f"need {self.closing_draws} closing uniforms, got {len(u)}")
+        self._played = None
 
         pair = None
+        L = self.epoch_len
         if self.epoch == 1:
             # Importance accumulation for epoch 2 from the already-fixed
-            # uniform snapshot; no loss estimates in the first epoch.
-            L = self.epoch_len
-            self.w_hat_acc += self._s_next_in[context] / (2.0 * L)
-            self._pending.clear()
-        elif len(self._pending) == 2:
-            pair = self._finalize_pair(rng)
+            # uniform snapshot, one round at a time; no loss estimates.
+            for c in contexts:
+                self.w_hat_acc += self._s_next_in[c] / (2.0 * L)
+        else:
+            self._dists = None  # the pair's table, if any, goes with it
+            # Uniform pairing: one member estimates frequency, the other losses.
+            loss_offset = 1 if u[0] < 0.5 else 0
+            cl, al, revl = contexts[loss_offset], arms[loss_offset], revs[loss_offset]
+            self.w_hat_acc += self._s_next_in[contexts[1 - loss_offset]] / (2.0 * (L // 2))
 
-        self.pos += 1
-        self.t += 1
-        if self.pos == self.epoch_len:
-            self.end_epoch()
-        return pair
-
-    def _finalize_pair(self, rng: np.random.Generator) -> PairRecord:
-        first, second = self._pending
-        self._pending.clear()
-        self._dists = None  # the pair's table, if any, goes with it
-        L, gamma = self.epoch_len, self.params.gamma
-
-        # Uniform pairing: one member estimates frequency, the other losses.
-        first_is_freq = rng.random() < 0.5
-        freq, loss = (first, second) if first_is_freq else (second, first)
-        loss_offset = 1 if first_is_freq else 0
-        cl, al, bl, ql, revl = loss
-
-        self.w_hat_acc += self._s_next_in[freq[0]] / (2.0 * (L // 2))
-
-        q_in = self.graph.in_mass(ql) if bl else self.s_cur_in[cl]
-        S = rng.random(self.num_arms) < accept_probability(self.s_cur_in[cl], q_in)
-        used = self.graph.out_mask[al] & S
-        if used.any():
-            used_cols = used[revl.arms]
+            q_in = (self.graph.in_mass(play.q[loss_offset]) if play.ftrl[loss_offset]
+                    else self.s_cur_in[cl])
+            S = u[1:] < accept_probability(self.s_cur_in[cl], q_in)
+            used = self.graph.out_mask[al] & S
+            used_cols = used[revl.arms]  # every used arm is a revealed one
             arms_used = revl.arms[used_cols]
             losses = revl.losses[:, used_cols]
-            denom = self.w_hat[arms_used] + 1.5 * gamma
-            self.cum[:, arms_used] += 2.0 * losses / denom
-        else:
-            losses = revl.losses[:, :0]
-        return PairRecord(t_first=self.t - 1, loss_offset=loss_offset,
-                          used=used, losses=losses)
+            if len(arms_used):
+                denom = self.w_hat[arms_used] + 1.5 * self.params.gamma
+                self.cum[:, arms_used] += 2.0 * losses / denom
+            pair = PairRecord(t_first=self.t, loss_offset=loss_offset, used=used, losses=losses)
+
+        self.pos += 2
+        self.t += 2
+        if self.pos == L:
+            self.end_epoch()
+        return pair
 
     def end_epoch(self) -> None:
         """Roll snapshots and importance estimates into the next epoch."""

@@ -9,6 +9,7 @@ import inspect
 import tempfile
 
 import numpy as np
+import pytest
 
 from crossbandit import acceptance
 
@@ -46,6 +47,22 @@ def test_registry_numbers_every_check_once_with_binding_quick_scales():
         inspect.signature(entry.fn).bind(**entry.quick)  # a misspelt keyword raises
 
 
+REPLAY_DETAILS = {
+    "used-feedback-marginal": "max dev 0.98 SE, w range [0.062, 0.312], n=20000",
+    "importance-estimate-unbiased": "max dev 2.07 SE over 8 arms, n=1500",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_DETAILS))
+def test_replays_keep_their_quick_scale_details(name):
+    """Checks 02 and 03 read their replays' uniforms from the stream in the
+    order a round-by-round replay reads them, so their statistics keep every
+    digit."""
+    entry = next(e for e in acceptance.CHECKS if e.name == name)
+    result = entry.fn(**entry.quick)
+    assert result.passed and result.detail == REPLAY_DETAILS[name]
+
+
 def test_determinism_check_leaves_no_files_behind(tmp_path, monkeypatch):
     configs = acceptance._determinism_configs
     monkeypatch.setattr(acceptance, "_determinism_configs",
@@ -64,23 +81,22 @@ class TestCheckSensitivity:
         assert res.passed
         # re-run the same statistic against a target inflated by a factor
         # large enough that 3 SE cannot absorb it
-        from crossbandit.environment import TableOracle, reveal, sample_context
-        from crossbandit.acceptance import _warm_epoch_learner
+        from crossbandit.acceptance import _play_pairs, _warm_epoch_learner
+        from crossbandit.environment import TableOracle
+        from crossbandit.harness import pair_tape
         graph, nu, _, learner, rng = _warm_epoch_learner(12, epoch_len=32,
                                                          stop_epoch=3, stop_pos=4)
         w_exact = (nu @ graph.in_mass_rows(learner.s_cur)) / 2.0
         wrong = 1.5 * w_exact
         M, K = learner.num_contexts, learner.num_arms
         dense = TableOracle(0.5 * np.ones((2, M, K)))
-        s0, t0 = learner.state(), learner.t
+        s0 = learner.state()
         n = 4_000
         used = np.zeros(K)
         for _ in range(n):
             learner.restore(s0)
-            for off in range(2):
-                c = sample_context(nu, rng.random())
-                a = learner.act(t0 + off, c, rng).arm
-                pair = learner.update(reveal(dense, graph, off, a), rng)
+            tape = pair_tape(rng, nu, 1, learner.closing_draws)
+            pair = _play_pairs(learner, graph, dense, *tape)
             used += pair.used
         rate = used / n
         se = np.sqrt(rate * (1 - rate) / n)

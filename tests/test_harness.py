@@ -120,6 +120,23 @@ class TestRun:
         run(cfg).traces[0].write_ndjson(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_each_oracle_chunk_is_built_once(self, monkeypatch):
+        # M = 256 and K = 48 give 21-round chunks, so the pairs (20, 21),
+        # (62, 63), ... straddle a chunk boundary; the oracle keeps one chunk.
+        built = []
+        real = environment.StochasticGapOracle._make_chunk
+
+        def counted(self, j):
+            built.append(j)
+            return real(self, j)
+
+        monkeypatch.setattr(environment.StochasticGapOracle, "_make_chunk", counted)
+        cfg = small_config(algo="unknown", graph=GraphSpec(kind="self_loops_only", num_arms=48),
+                           num_contexts=256, horizon=168, replicates=1, param_mode="manual",
+                           epoch_len=42, eta=0.05, gamma=0.05, iota=6.0)
+        run(cfg)
+        assert built == list(range(8))  # ceil(168 / 21) chunks, in order
+
     def test_different_seeds_differ(self):
         r1 = run(small_config(seed=1, replicates=1))
         r2 = run(small_config(seed=2, replicates=1))
@@ -204,6 +221,7 @@ class TestValidation:
         *[dict(algo="unknown", horizon=T) for T in (1, 2, 3)],
         dict(algo="unknown", horizon=1024, tuned_scale=-1.0),
         dict(algo="unknown", horizon=1024, tuned_scale=math.nan),
+        dict(algo="unknown", horizon=1024, tuned_scale=math.inf),
         dict(algo="unknown", param_mode="manual", epoch_len=32, eta=0.01, gamma=math.nan),
         lambda tmp: dict(oracle=OracleSpec(kind="table", table_path=str(tmp / "none.npy"))),
         lambda tmp: dict(oracle=_table_spec(tmp, rounds=255)),
@@ -212,11 +230,13 @@ class TestValidation:
     ], ids=["negative_seed", "gap_means", "shift_bounds", "value_grid", "bid_grid",
             "value_grid_unsorted", "value_grid_above_1", "bid_grid_descending",
             "bid_grid_negative", "auto_T1", "auto_T2", "auto_T3", "tuned_scale",
-            "tuned_scale_nan", "manual_gamma_nan", "table_missing", "table_short", "bids_short", "bids_missing"])
+            "tuned_scale_nan", "tuned_scale_inf", "manual_gamma_nan", "table_missing",
+            "table_short", "bids_short", "bids_missing"])
     def test_rejects_what_would_fail_mid_run(self, kw, tmp_path):
         if callable(kw):
             kw = kw(tmp_path)
-        with pytest.raises(ConfigError):
+        # A bad tuned_scale is named in the message.
+        with pytest.raises(ConfigError, match="tuned_scale" if "tuned_scale" in kw else None):
             validate_config(small_config(**kw))
 
     @pytest.mark.parametrize("text", ["bid\n0.1\n0.2x\n", "0.1\nnan\n"])

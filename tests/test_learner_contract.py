@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbandit.environment import Play, TableOracle, reveal, sample_context
+from crossbandit.environment import TableOracle, reveal, sample_context
 from crossbandit.graph import FeedbackGraph, GraphSpec
 from crossbandit.harness import ALGOS, OracleSpec, RunConfig, make_learner, run_batch, \
     run_replicate, summarize_regret, validate_config
-from crossbandit.unknown import EpochLearner, rejection_distribution
+from crossbandit.unknown import EpochLearner, PairRecord
 
 L = 4  # epoch length of the epoch learner
 
@@ -35,19 +35,25 @@ def _plan(graph, algo, M, epochs, eta, seed, **kw):
     return replace(validate_config(config), graph=graph)
 
 
-def act(learner, t, c, rng):
-    """Round t under context c; a batched learner plays it as a batch of one
-    and draws its arm from the next uniform of ``rng``."""
+def play_pair(learner, plan, oracle, t, rng):
+    """Rounds t and t + 1 (t even), with contexts drawn from the plan's ``nu``
+    and every uniform from ``rng``. The epoch learner plays them as one pair,
+    a batched learner as two batches of one. Returns each round's (context,
+    arm, q, ftrl) and what the epoch learner's ``update`` returned (None for
+    a batched learner)."""
+    graph = plan.graph
+    contexts, arm_u = sample_context(plan.nu, rng.random(2)), rng.random(2)
     if isinstance(learner, EpochLearner):
-        return learner.act(t, c, rng)
-    arms, q, ftrl = learner.act(t, np.array([c]), rng.random(1))
-    return Play(int(arms[0]), q[0], ftrl)
-
-
-def update(learner, rev, rng):
-    if isinstance(learner, EpochLearner):
-        return learner.update(rev, rng)
-    return learner.update([rev])
+        arms, q, ftrl = learner.act(t, contexts, arm_u)
+        revs = [reveal(oracle, graph, t + j, a) for j, a in enumerate(arms.tolist())]
+        pair = learner.update(revs, rng.random(learner.closing_draws))
+        return list(zip(contexts.tolist(), arms.tolist(), q, ftrl.tolist())), pair
+    rounds = []
+    for j in range(2):
+        arms, q, ftrl = learner.act(t + j, contexts[j:j + 1], arm_u[j:j + 1])
+        learner.update([reveal(oracle, graph, t + j, int(arms[0]))])
+        rounds.append((int(contexts[j]), int(arms[0]), q[0], bool(ftrl)))
+    return rounds, None
 
 
 cases = dict(graph=self_looped_graphs(), algo=st.sampled_from(ALGOS),
@@ -55,36 +61,79 @@ cases = dict(graph=self_looped_graphs(), algo=st.sampled_from(ALGOS),
              eta=st.sampled_from([0.05, 1.0, 20.0]), seed=st.integers(0, 2 ** 16))
 
 
+def _assert_draws_from(q, arm):
+    assert (q >= 0).all() and abs(q.sum() - 1.0) < 1e-9
+    assert q[arm] > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(**cases)
 def test_plays_and_pairs_keep_the_contract(graph, algo, M, epochs, eta, seed):
     plan = _plan(graph, algo, M, epochs, eta, seed)
-    config, nu = plan.config, plan.nu
+    T, K = plan.config.horizon, graph.num_arms
     rng = np.random.default_rng(seed)
-    oracle = TableOracle(rng.random((config.horizon, M, graph.num_arms)))
+    oracle = TableOracle(rng.random((T, M, K)))
     learner = make_learner(plan)
-    arms, pairs = [], 0
-    for t in range(config.horizon):
-        c = sample_context(nu, rng.random())
-        play = act(learner, t, c, rng)
-        arms.append(play.arm)
-        assert (play.q >= 0).all() and abs(play.q.sum() - 1.0) < 1e-9
-        assert play.q[play.arm] > 0
-        if algo != "unknown":
-            assert play.ftrl
-        elif learner.epoch == 1:
-            assert not play.ftrl and np.array_equal(play.q, learner.s_cur[c])
-        else:
-            q, ftrl = rejection_distribution(learner.distributions()[c], learner.s_cur[c])
-            assert play.ftrl == ftrl and np.array_equal(play.q, q)
-        pair = update(learner, reveal(oracle, graph, t, play.arm), rng)
-        if pair is not None:
-            assert algo == "unknown" and t % 2 == 1
-            played = arms[pair.t_first + pair.loss_offset]
-            assert not (pair.used & ~graph.out_mask[played]).any()
-            assert pair.losses.shape == (M, int(pair.used.sum()))
-            pairs += 1
-    assert pairs == ((config.horizon - L) // 2 if algo == "unknown" else 0)
+    if algo != "unknown":
+        for t in range(0, T, 2):
+            rounds, _ = play_pair(learner, plan, oracle, t, rng)
+            for _, arm, q, ftrl in rounds:
+                _assert_draws_from(q, arm)
+                assert ftrl
+        return
+
+    pairs = 0
+    for t in range(0, T, 2):
+        epoch = learner.epoch
+        contexts, arm_u = sample_context(plan.nu, rng.random(2)), rng.random(2)
+        play = learner.act(t, contexts, arm_u)
+        assert play.arm.shape == (2,) and play.q.shape == (2, K) and play.ftrl.shape == (2,)
+        for q, arm in zip(play.q, play.arm):
+            _assert_draws_from(q, arm)
+        # The full table, built after act, holds the bits of the rows act played.
+        p, s = learner.distributions()[contexts], learner.s_cur[contexts]
+        if epoch == 1:
+            assert not play.ftrl.any() and np.array_equal(play.q, s)
+        else:  # the rejection test, row by row
+            ftrl = (p >= 0.5 * s).all(axis=1)
+            assert np.array_equal(play.ftrl, ftrl)
+            assert np.array_equal(play.q, np.where(ftrl[:, None], p, s))
+        q_played = play.q.copy()
+        revs = [reveal(oracle, graph, t + j, a) for j, a in enumerate(play.arm.tolist())]
+        pair = learner.update(revs, rng.random(learner.closing_draws))
+        assert np.array_equal(play.q, q_played)  # a returned q is never written
+        if epoch == 1:
+            assert pair is None
+            continue
+        assert isinstance(pair, PairRecord) and pair.t_first == t
+        played = play.arm[pair.loss_offset]
+        assert not (pair.used & ~graph.out_mask[played]).any()
+        assert pair.losses.shape == (M, int(pair.used.sum()))
+        pairs += 1
+    assert pairs == (T - L) // 2
+
+
+def test_the_pair_contract_rejects_misuse():
+    graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
+    plan = _plan(graph, "unknown", 2, 2, 1.0, 0)
+    learner = make_learner(plan)
+    oracle = TableOracle(np.random.default_rng(1).random((plan.config.horizon, 2, 3)))
+    u = np.array([0.3, 0.7])
+    for t in (1, 2):  # an odd round, and a pair out of order
+        with pytest.raises(ValueError, match="round"):
+            learner.act(t, np.array([0, 1]), u)
+    for contexts in ([0, 2], [-1, 0]):
+        with pytest.raises(ValueError, match="context"):
+            learner.act(0, np.array(contexts), u)
+    revs = [reveal(oracle, graph, 0, 0), reveal(oracle, graph, 1, 0)]
+    with pytest.raises(RuntimeError, match="act"):
+        learner.update(revs, np.empty(0))
+    arms = learner.act(0, np.array([0, 1]), u).arm.tolist()
+    wrong = [reveal(oracle, graph, 0, arms[0]), reveal(oracle, graph, 1, (arms[1] + 1) % 3)]
+    with pytest.raises(ValueError, match="played arm"):
+        learner.update(wrong, np.empty(0))
+    right = [reveal(oracle, graph, j, arms[j]) for j in range(2)]
+    assert learner.update(right, np.empty(0)) is None and learner.t == 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -110,16 +159,13 @@ def test_traces_keep_the_contract(graph, algo, M, epochs, eta, seed):
 def test_a_state_replays_identically_across_epoch_ends(algo):
     graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
     plan = _plan(graph, algo, 2, 6, 1.0, 0)
-    nu = plan.nu
     oracle = TableOracle(np.random.default_rng(1).random((plan.config.horizon, 2, 3)))
     learner = make_learner(plan)
 
     def drive(rounds, rng):
         arms = []
-        for _ in range(rounds):
-            t = learner.t
-            arms.append(act(learner, t, sample_context(nu, rng.random()), rng).arm)
-            update(learner, reveal(oracle, graph, t, arms[-1]), rng)
+        for _ in range(rounds // 2):
+            arms += [a for _, a, _, _ in play_pair(learner, plan, oracle, learner.t, rng)[0]]
         return arms, learner.cum.copy(), learner.distributions().copy()
 
     drive(L + 2, np.random.default_rng(2))  # mid-epoch, pair boundary
@@ -159,14 +205,13 @@ def test_the_policy_table_is_built_once_per_round(monkeypatch, algo, trace_level
     if algo == "known":  # one (R, M, K) table per round and batch, shared by act,
         assert shapes == [(2, 3, 3)] * T  # update and the trace
     elif algo == "unknown":
-        rows = sum(totals.ndim == 1 for totals, _ in calls)
-        tables = sum(totals.ndim == 2 for totals, _ in calls)
-        assert rows + tables == len(calls)
+        pair_rows, tables = shapes.count((2, 3)), shapes.count((3, 3))
+        assert pair_rows + tables == len(calls)
         # One snapshot per epoch end, which the next pair also plays from.
-        if trace_level == "light":  # one row per other FTRL round
-            assert (rows, tables) == (T - L - 2 * (T // L - 1), T // L)
+        if trace_level == "light":  # one call on its two rows per other FTRL pair
+            assert (pair_rows, tables) == ((T - L) // 2 - (T // L - 1), T // L)
         else:  # the traced table per other pair serves both rounds' rows
-            assert (rows, tables) == (0, (T - L) // 2 + 1)
+            assert (pair_rows, tables) == (0, (T - L) // 2 + 1)
     else:  # one row per replicate and update, and at most one table when the
         assert T <= len(calls) <= T + 1  # learner is built
         assert shapes[-T:] == [(2, 3)] * T
@@ -203,18 +248,27 @@ def test_the_known_learners_table_is_read_only():
         learner.act(0, np.array([1]), np.array([0.5])).q[0, 0] = 1.0
 
 
+def test_the_known_learners_table_is_read_only():
+    graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
+    learner = make_learner(_plan(graph, "known", 2, 2, 1.0, 0))
+    with pytest.raises(ValueError):
+        learner.distributions()[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        learner.act(0, np.array([1]), np.array([0.5])).q[0, 0] = 1.0
+
+
 def test_the_epoch_learners_table_is_read_only():
     graph = FeedbackGraph([(0, 1), (1, 2), (0, 2)])
     plan = _plan(graph, "unknown", 2, 3, 1.0, 0)
     learner = make_learner(plan)
     oracle = TableOracle(np.random.default_rng(1).random((plan.config.horizon, 2, 3)))
     rng = np.random.default_rng(2)
-    for t in range(L + 1):  # into the first FTRL pair
+    for t in range(0, L, 2):
         with pytest.raises(ValueError):
             learner.distributions()[0, 0] = 1.0
-        play = learner.act(t, t % 2, rng)
-        learner.update(reveal(oracle, graph, t, play.arm), rng)
+        play_pair(learner, plan, oracle, t, rng)
     assert learner.epoch == 2
+    learner.act(L, np.array([0, 1]), rng.random(2))  # into the first FTRL pair
     with pytest.raises(ValueError):
         learner.distributions()[1, 2] = 0.0
 
@@ -223,14 +277,12 @@ def test_the_epoch_learners_table_is_read_only():
 def test_returned_distributions_are_never_written(algo):
     graph = FeedbackGraph([(0, 1), (1, 2), (0, 2), (3, 0)])
     plan = _plan(graph, algo, 3, 6, 1.0, 0)
-    nu = plan.nu
     rng = np.random.default_rng(4)
     oracle = TableOracle(rng.random((plan.config.horizon, 3, graph.num_arms)))
     learner = make_learner(plan)
     returned = []
-    for t in range(plan.config.horizon):
-        play = act(learner, t, sample_context(nu, rng.random()), rng)
+    for t in range(0, plan.config.horizon, 2):
+        rounds, _ = play_pair(learner, plan, oracle, t, rng)
         dists = learner.distributions()
-        returned += [(play.q, play.q.copy()), (dists, dists.copy())]
-        update(learner, reveal(oracle, graph, t, play.arm), rng)
+        returned += [(q, q.copy()) for _, _, q, _ in rounds] + [(dists, dists.copy())]
     assert all(np.array_equal(arr, copy) for arr, copy in returned)

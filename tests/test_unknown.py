@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from crossbandit.environment import StochasticGapOracle, TableOracle, gap_means, reveal, sample_context
+from crossbandit.acceptance import _play_pairs
+from crossbandit.environment import StochasticGapOracle, TableOracle, gap_means, reveal
 from crossbandit.graph import FeedbackGraph, GraphSpec, build_graph
+from crossbandit.harness import pair_tape
 from crossbandit.simplex import exp_weights
 from crossbandit.unknown import (
     EpochLearner,
@@ -13,7 +15,6 @@ from crossbandit.unknown import (
     accept_probability,
     even_divisors,
     nearest_compatible_horizon,
-    rejection_distribution,
     schedule_params,
     tuned_schedule,
 )
@@ -21,12 +22,11 @@ from crossbandit.unknown import (
 NU = np.array([0.4, 0.3, 0.2, 0.1])
 
 
-def drive(learner, graph, oracle, nu, rng, rounds, start=0):
-    for i in range(rounds):
-        t = start + i
-        c = sample_context(nu, rng.random())
-        a = learner.act(t, c, rng).arm
-        learner.update(reveal(oracle, graph, t % oracle.num_rounds, a), rng)
+def drive(learner, graph, oracle, nu, rng, rounds):
+    """Play ``rounds`` (even) rounds from the learner's next round, drawing
+    each pair's uniforms as ``harness.pair_tape`` does."""
+    for _ in range(rounds // 2):
+        _play_pairs(learner, graph, oracle, *pair_tape(rng, nu, 1, learner.closing_draws))
 
 
 class TestSchedule:
@@ -61,6 +61,11 @@ class TestSchedule:
         with pytest.raises(ValueError, match="no even divisor"):
             schedule_params(16, 15, 4)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tuned_scale_is_named(self, scale):
+        with pytest.raises(ValueError, match="tuned_scale"):
+            schedule_params(16, 4096, 4, tuned_scale=scale)
+
     def test_nearest_compatible_horizon(self):
         assert nearest_compatible_horizon(1000, 504) == 1008
         assert nearest_compatible_horizon(100, 504) == 1008  # at least two epochs
@@ -87,23 +92,37 @@ class TestSchedule:
         assert s.gamma == pytest.approx(2.0 / 256)
 
 
+def play_from(p, s, graph=None):
+    """The pair an epoch-2 learner plays under contexts 0 and 1 when its FTRL
+    table is ``exp_weights(-log p)`` (p up to rounding) and its running
+    snapshot is ``s``; returns the play and the FTRL table."""
+    p, s = np.atleast_2d(p), np.atleast_2d(s)
+    graph = graph or build_graph(GraphSpec(kind="self_loops_only", num_arms=p.shape[1]))
+    lrn = EpochLearner(graph, len(p), ParamSchedule(iota=6.0, epoch_len=2, gamma=0.1, eta=1.0))
+    lrn.epoch, lrn.s_cur, lrn.cum = 2, s, -np.log(p)
+    contexts = np.array([0, 1]) if len(p) > 1 else np.array([0, 0])
+    dists = lrn.distributions()
+    return lrn.act(0, contexts, np.array([0.3, 0.7])), dists[contexts]
+
+
 class TestRejection:
     def test_equal_rows_keep_ftrl(self):
         p = np.array([0.25, 0.25, 0.5])
-        q, used_p = rejection_distribution(p, p.copy())
-        assert used_p and q is p
+        play, ftrl_rows = play_from(p, p.copy())
+        assert play.ftrl.all() and np.array_equal(play.q, ftrl_rows)
 
     def test_collapsed_arm_falls_back(self):
-        s = np.array([0.4, 0.4, 0.2])
-        p = np.array([0.45, 0.45, 0.05])  # arm 2 fell below s/2 = 0.1
-        q, used_p = rejection_distribution(p, s)
-        assert not used_p
-        assert np.array_equal(q, s)
+        s = np.array([[0.4, 0.4, 0.2], [0.4, 0.4, 0.2]])
+        p = np.array([[0.45, 0.45, 0.05],  # arm 2 fell below s/2 = 0.1
+                      [0.4, 0.4, 0.2]])
+        play, ftrl_rows = play_from(p, s)
+        assert play.ftrl.tolist() == [False, True]  # the test runs row by row
+        assert np.array_equal(play.q[0], s[0]) and np.array_equal(play.q[1], ftrl_rows[1])
 
     def test_uniform_state_keeps_ftrl(self):
         u = np.full(4, 0.25)
-        q, used_p = rejection_distribution(u, u.copy())
-        assert used_p
+        play, _ = play_from(u, u.copy())
+        assert play.ftrl.all()
 
 
 class TestAcceptProbability:
@@ -129,10 +148,10 @@ class TestAcceptProbability:
         g = build_graph(GraphSpec(kind="erdos_renyi", num_arms=8, edge_prob=0.3), rng_seed=5)
         rng = np.random.default_rng(7)
         for _ in range(200):
-            s = rng.dirichlet(np.ones(8))
-            p = rng.dirichlet(np.ones(8))
-            q, used_p = rejection_distribution(p, s)
-            assert (accept_probability(g.in_mass(s), g.in_mass(q)) <= 1.0 + 1e-12).all()
+            s = rng.dirichlet(np.ones(8), size=2)
+            p = rng.dirichlet(np.ones(8), size=2)
+            q = play_from(p, s, graph=g)[0].q
+            assert (accept_probability(g.in_mass_rows(s), g.in_mass_rows(q)) <= 1.0 + 1e-12).all()
 
 
 def fresh_learner(spec, epoch_len=32, gamma=0.05, eta=0.01, M=4, seed=2):
@@ -171,10 +190,9 @@ class TestFirstEpoch:
 
     def test_plays_uniform_in_first_epoch(self):
         graph, lrn = fresh_learner(GraphSpec(kind="self_loops_only", num_arms=8))
-        rng = np.random.default_rng(0)
-        play = lrn.act(0, 1, rng)
-        assert np.allclose(play.q, 1 / 8)
-        assert not play.ftrl
+        play = lrn.act(0, np.array([1, 3]), np.array([0.3, 0.7]))
+        assert play.q.shape == (2, 8) and np.allclose(play.q, 1 / 8)
+        assert not play.ftrl.any()
 
 
 class TestEpochRoll:
@@ -194,7 +212,7 @@ class TestEpochRoll:
         drive(lrn, graph, oracle, NU, rng, 32)
         frozen = lrn.s_cur
         copy = frozen.copy()
-        drive(lrn, graph, oracle, NU, rng, 64, start=32)
+        drive(lrn, graph, oracle, NU, rng, 64)
         assert np.array_equal(frozen, copy)
 
     def test_snapshot_matches_cum_at_epoch_end(self):
@@ -209,7 +227,7 @@ class TestEpochRoll:
         graph, lrn = fresh_learner(GraphSpec(kind="self_loops_only", num_arms=4))
         oracle = TableOracle(np.zeros((4, 4, 4)))
         rng = np.random.default_rng(1)
-        drive(lrn, graph, oracle, NU, rng, 3)
+        drive(lrn, graph, oracle, NU, rng, 2)
         with pytest.raises(RuntimeError, match="consumed"):
             lrn.end_epoch()
 
@@ -231,7 +249,7 @@ class TestPairMechanics:
         rng = np.random.default_rng(5)
         drive(lrn, graph, oracle, NU, rng, 32)  # first epoch: w_hat = 1/8
         before = lrn.cum.copy()
-        drive(lrn, graph, oracle, NU, rng, 32, start=32)
+        drive(lrn, graph, oracle, NU, rng, 32)
         deltas = (lrn.cum - before).ravel()
         nonzero = deltas[deltas > 0]
         expected = 2 * loss_val / (1 / 8 + 1.5 * 0.125)
@@ -242,14 +260,14 @@ class TestPairMechanics:
     def test_update_requires_matching_act(self):
         graph, lrn = fresh_learner(GraphSpec(kind="self_loops_only", num_arms=4))
         oracle = TableOracle(np.zeros((4, 4, 4)))
-        rev = reveal(oracle, graph, 0, 2)
+        revs = [reveal(oracle, graph, 0, 2), reveal(oracle, graph, 1, 2)]
         with pytest.raises(RuntimeError, match="act"):
-            lrn.update(rev, np.random.default_rng(0))
+            lrn.update(revs, np.empty(0))
 
     def test_wrong_round_rejected(self):
         graph, lrn = fresh_learner(GraphSpec(kind="self_loops_only", num_arms=4))
         with pytest.raises(ValueError, match="round"):
-            lrn.act(5, 0, np.random.default_rng(0))
+            lrn.act(6, np.array([0, 0]), np.array([0.5, 0.5]))
 
     def test_trajectory_deterministic_under_seed(self):
         arms = []
@@ -258,11 +276,12 @@ class TestPairMechanics:
             oracle = StochasticGapOracle(gap_means(4, 4, best_stride=1), num_rounds=200, seed=6)
             rng = np.random.default_rng(123)
             seq = []
-            for t in range(192):
-                c = sample_context(NU, rng.random())
-                a = lrn.act(t, c, rng).arm
-                lrn.update(reveal(oracle, graph, t, a), rng)
-                seq.append(a)
+            for _ in range(96):
+                t = lrn.t
+                contexts, arm_u, closing_u = pair_tape(rng, NU, 1, lrn.closing_draws)
+                pair = lrn.act(t, contexts[0], arm_u[0]).arm.tolist()
+                lrn.update([reveal(oracle, graph, t + j, pair[j]) for j in range(2)], closing_u[0])
+                seq += pair
             arms.append(seq)
         assert arms[0] == arms[1]
 
@@ -274,10 +293,10 @@ class TestEstimatorMoments:
         oracle = StochasticGapOracle(gap_means(4, 8, best_stride=3), num_rounds=512, seed=seed)
         rng = np.random.default_rng(seed)
         drive(lrn, graph, oracle, NU, rng, 2 * lrn.epoch_len + 4)  # epoch 3, round 4
-        return graph, lrn, rng, lrn.t
+        return graph, lrn, rng
 
     def test_pair_increment_conditional_mean(self):
-        graph, lrn, rng, t0 = self._frozen_pair_state()
+        graph, lrn, rng = self._frozen_pair_state()
         M, K = lrn.num_contexts, lrn.num_arms
         losses = 0.1 + 0.8 * np.random.default_rng(0).random((M, K))
         dense = TableOracle(np.stack([losses, losses]))  # same losses both rounds
@@ -290,10 +309,7 @@ class TestEstimatorMoments:
         used_counts = np.zeros(K)
         for _ in range(n):
             lrn.restore(s0)
-            for off in range(2):
-                c = sample_context(NU, rng.random())
-                a = lrn.act(t0 + off, c, rng).arm
-                pair = lrn.update(reveal(dense, graph, off, a), rng)
+            pair = _play_pairs(lrn, graph, dense, *pair_tape(rng, NU, 1, lrn.closing_draws))
             total += lrn.cum - cum0
             used_counts += pair.used
         mean_inc = total / n
@@ -303,7 +319,7 @@ class TestEstimatorMoments:
         assert np.all(np.abs(mean_inc - target) <= 3 * se + 1e-12)
 
     def test_used_feedback_rate(self):
-        graph, lrn, rng, t0 = self._frozen_pair_state(seed=33)
+        graph, lrn, rng = self._frozen_pair_state(seed=33)
         M, K = lrn.num_contexts, lrn.num_arms
         dense = TableOracle(0.5 * np.ones((2, M, K)))
         w_exact = (NU @ graph.in_mass_rows(lrn.s_cur)) / 2.0
@@ -312,10 +328,7 @@ class TestEstimatorMoments:
         used_counts = np.zeros(K)
         for _ in range(n):
             lrn.restore(s0)
-            for off in range(2):
-                c = sample_context(NU, rng.random())
-                a = lrn.act(t0 + off, c, rng).arm
-                pair = lrn.update(reveal(dense, graph, off, a), rng)
+            pair = _play_pairs(lrn, graph, dense, *pair_tape(rng, NU, 1, lrn.closing_draws))
             used_counts += pair.used
         rate = used_counts / n
         se = np.sqrt(rate * (1 - rate) / n)
@@ -329,16 +342,13 @@ class TestEstimatorMoments:
         L = lrn.epoch_len
         drive(lrn, graph, oracle, NU, rng, 2 * L)  # epoch 3, round 0
         w_next = (NU @ graph.in_mass_rows(lrn.s_next)) / 2.0
-        s0, t0 = lrn.state(), lrn.t
+        s0 = lrn.state()
         n = 2_000
         total = np.zeros(8)
         total_sq = np.zeros(8)
         for _ in range(n):
             lrn.restore(s0)
-            for i in range(L):
-                c = sample_context(NU, rng.random())
-                a = lrn.act(t0 + i, c, rng).arm
-                lrn.update(reveal(oracle, graph, (t0 + i) % 512, a), rng)
+            _play_pairs(lrn, graph, oracle, *pair_tape(rng, NU, L // 2, lrn.closing_draws))
             total += lrn.w_hat
             total_sq += lrn.w_hat ** 2
         mean = total / n
@@ -359,33 +369,39 @@ class PairTableLearner(EpochLearner):
     drawn contexts' rows of the first, and thins the loss round with a row of
     the second."""
 
-    def act(self, t, context, rng):
-        if self.epoch > 1 and self.pos % 2 == 0:
+    def act(self, t, contexts, u):
+        if self.epoch > 1:
             self._dists = exp_weights(self.cum, self.params.eta)
             self._pair_in = self.graph.in_mass_rows(self._dists)
-        return super().act(t, context, rng)
+        return super().act(t, contexts, u)
 
-    def _finalize_pair(self, rng):
-        (c1, a1, b1, _, rev1), (c2, a2, b2, _, rev2) = self._pending
-        self._pending.clear()
+    def update(self, revs, u):
+        if self.epoch == 1:
+            return super().update(revs, u)
+        (c1, c2), (a1, a2), play = self._played
+        self._played = None
         self._dists = None
         L, gamma = self.epoch_len, self.params.gamma
-        first_is_freq = rng.random() < 0.5
+        first_is_freq = u[0] < 0.5
         if first_is_freq:
-            cf, cl, al, bl, revl, loss_offset = c1, c2, a2, b2, rev2, 1
+            cf, cl, al, bl, revl, loss_offset = c1, c2, a2, play.ftrl[1], revs[1], 1
         else:
-            cf, cl, al, bl, revl, loss_offset = c2, c1, a1, b1, rev1, 0
+            cf, cl, al, bl, revl, loss_offset = c2, c1, a1, play.ftrl[0], revs[0], 0
         self.w_hat_acc += self._s_next_in[cf] / (2.0 * (L // 2))
         q_in = self._pair_in[cl] if bl else self.s_cur_in[cl]
-        S = rng.random(self.num_arms) < accept_probability(self.s_cur_in[cl], q_in)
+        S = u[1:] < accept_probability(self.s_cur_in[cl], q_in)
         used = self.graph.out_mask[al] & S
         used_cols = used[revl.arms]
         arms_used = revl.arms[used_cols]
         losses = revl.losses[:, used_cols]
         if used.any():
             self.cum[:, arms_used] += 2.0 * losses / (self.w_hat[arms_used] + 1.5 * gamma)
-        return PairRecord(t_first=self.t - 1, loss_offset=loss_offset, used=used,
-                          losses=losses)
+        record = PairRecord(t_first=self.t, loss_offset=loss_offset, used=used, losses=losses)
+        self.pos += 2
+        self.t += 2
+        if self.pos == L:
+            self.end_epoch()
+        return record
 
 
 def _run_with(monkeypatch, config, graph, learner_cls):
