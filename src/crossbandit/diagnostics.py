@@ -20,16 +20,18 @@ and the concentration events the analysis relies on become runnable checks:
 The pseudo-estimate of a loss replaces the empirical denominator by the exact
 one: 2 * loss / (w_e(a) + gamma) on used feedback.
 
-The run feeds the checks as it goes. With diagnostics on, ``run_replicate``
-hands an :class:`EpochObserver` each epoch's start record and each finished
-pair's record, whose loss block holds exactly the losses the learner used, so
-no oracle is read a second time. Each report ends up on its epoch's record,
-as ``EpochRecord.diag``.
+With diagnostics on, ``run_replicate`` keeps an epoch's finished pair
+records, whose loss blocks hold exactly the losses the learner used, so no
+oracle is read a second time. As the epoch ends it makes one
+:func:`attach_epoch_diagnostics` call, which computes the whole report from
+them and sets it on the epoch's record, as ``EpochRecord.diag``. Nothing is
+carried from one epoch to the next but the previous report.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -38,8 +40,8 @@ import numpy as np
 from .graph import FeedbackGraph
 
 if TYPE_CHECKING:
-    from .harness import EpochRecord
-    from .unknown import PairRecord, ParamSchedule
+    from .harness import EpochRecord, RunPlan
+    from .unknown import PairRecord
 
 # Elements of one block of pseudo-estimate sums tilted together: at most
 # 512 KB of float64, however many pairs an epoch has.
@@ -97,105 +99,69 @@ def _ratio_extremes(p_tilde: np.ndarray, snapshot: np.ndarray) -> tuple[float, f
     return float(ratios.min()), float(ratios.max())
 
 
-class EpochObserver:
-    """Builds one replicate's per-epoch reports while the replicate runs.
+def attach_epoch_diagnostics(er: EpochRecord, s_cur_in: np.ndarray,
+                             pairs: Sequence[PairRecord], snapshot_rounds: int,
+                             prev: EpochDiag | None, plan: RunPlan) -> None:
+    """Compute the report of estimating epoch ``er`` and set it as ``er.diag``.
 
-    Call ``start_epoch`` at every epoch's first round (it ends the epoch
-    before), ``add_pair`` for every finished pair, and ``end_epoch`` after the
-    last round. An estimating epoch's report is set on its record as the
-    epoch ends. Each pair that used some arm adds its pseudo-estimates to the
-    epoch's running sums and copies the new sums into a block buffer; a full
-    block is tilted in one batched evaluation, which gives the same bits as
-    one ``simplex.tilt`` per pair. Pairs that used no arm leave the sums, and
-    so the tilt, unchanged.
+    ``s_cur_in`` holds the in-neighborhood masses of ``er.s_cur``'s rows,
+    ``pairs`` the epoch's finished pairs in round order, ``snapshot_rounds``
+    the epoch's rounds that fell back to the snapshot, and ``prev`` the
+    previous epoch's report (None for epoch 2).
+
+    The tilt is evaluated on the pseudo-estimate sums before the first pair
+    and after each pair that used some arm; a pair that used no arm leaves
+    the sums, and so the tilt, unchanged. These states are built a block at a
+    time as a running sum over the pairs' increments, which adds them in pair
+    order with the bits of one ``+=`` per pair, and each block is tilted in one
+    batched evaluation with the bits of one ``simplex.tilt`` per state.
     """
+    p, nu = plan.schedule, plan.nu
+    L, gamma, iota = p.epoch_len, p.gamma, p.iota
+    w_exact = (nu @ s_cur_in) / 2.0
+    thresh = 2.0 * np.maximum(np.sqrt(w_exact * iota / L), iota / L)
+    importance_ok = bool((np.abs(er.w_hat - w_exact) <= thresh).all())
+    beta = (w_exact + gamma) / (er.w_hat + 1.5 * gamma)
+    scale = 2.0 / (w_exact + gamma)
+    with np.errstate(divide="ignore"):
+        log_s_next = np.log(er.s_next)
 
-    def __init__(self, graph: FeedbackGraph, nu: np.ndarray, params: ParamSchedule,
-                 p_branch: np.ndarray):
-        self.graph = graph
-        self.nu = nu
-        self.params = params
-        self._p_branch = p_branch  # the trace's branch column, filled as rounds run
-        M, K = len(nu), graph.num_arms
-        # The sums before the first pair and after each of the L / 2 pairs.
-        states = params.epoch_len // 2 + 1
-        self._block = np.empty((max(1, min(states, _BLOCK_BUDGET // (M * K))), M, K))
-        self._filled = 0
-        self._epoch: EpochRecord | None = None
-        self._all_ok = True
+    M, K = er.s_cur.shape
+    used = [pr for pr in pairs if pr.used.any()]
+    per_block = max(1, min(L // 2 + 1, _BLOCK_BUDGET // (M * K)))
+    tilde = np.zeros((M, K))
+    ratio_min, ratio_max = math.inf, -math.inf
+    # State 0 is the zero sums, state j >= 1 the sums after used[j - 1].
+    for lo in range(0, len(used) + 1, per_block):
+        hi = min(lo + per_block, len(used) + 1)
+        sums = np.zeros((hi - lo, M, K))
+        block = used[max(lo, 1) - 1:hi - 1]
+        if block:
+            idx, arms = np.nonzero([pr.used for pr in block])
+            losses = np.concatenate([pr.losses for pr in block], axis=1)
+            sums[idx + max(lo, 1) - lo, :, arms] = (losses * scale[arms]).T
+        sums[0] += tilde  # the last state of the block before
+        for j in range(1, len(sums)):  # np.cumsum(axis=0) is ~10x slower at large M * K
+            sums[j] += sums[j - 1]
+        tilde = sums[-1].copy()
+        # simplex.tilt of every state, with log(s_next) taken once per epoch
+        sums *= p.eta
+        np.subtract(log_s_next, sums, out=sums)
+        sums -= sums.max(axis=-1, keepdims=True)
+        np.exp(sums, out=sums)
+        sums /= sums.sum(axis=-1, keepdims=True)
+        block_min, block_max = _ratio_extremes(sums, er.s_cur)
+        ratio_min, ratio_max = min(ratio_min, block_min), max(ratio_max, block_max)
 
-    def start_epoch(self, er: EpochRecord, s_cur_in: np.ndarray) -> None:
-        """``s_cur_in`` holds the in-neighborhood masses of ``er.s_cur``'s rows."""
-        self.end_epoch()
-        if er.epoch < 2:
-            return
-        p = self.params
-        L, gamma, iota = p.epoch_len, p.gamma, p.iota
-        self._epoch = er
-        self._w_exact = (self.nu @ s_cur_in) / 2.0
-        thresh = 2.0 * np.maximum(np.sqrt(self._w_exact * iota / L), iota / L)
-        self._importance_ok = bool((np.abs(er.w_hat - self._w_exact) <= thresh).all())
-        self._beta = (self._w_exact + gamma) / (er.w_hat + 1.5 * gamma)
-        self._scale = 2.0 / (self._w_exact + gamma)
-        with np.errstate(divide="ignore"):
-            self._log_s_next = np.log(er.s_next)
-        self._ratio_min, self._ratio_max = math.inf, -math.inf
-        self._tilde = np.zeros_like(er.s_cur)
-        self._push()
-
-    def add_pair(self, pr: PairRecord) -> None:
-        if self._epoch is None or not pr.used.any():
-            return
-        self._tilde[:, pr.used] += pr.losses * self._scale[pr.used]
-        self._push()
-
-    def _push(self) -> None:
-        self._block[self._filled] = self._tilde
-        self._filled += 1
-        if self._filled == len(self._block):
-            self._flush()
-
-    def _flush(self) -> None:
-        """Tilt the buffered sums exactly as ``simplex.tilt`` does, with
-        log(s_next) computed once per epoch, and fold in their extremes."""
-        if not self._filled:
-            return
-        logw = self._block[:self._filled]
-        logw *= self.params.eta
-        np.subtract(self._log_s_next, logw, out=logw)
-        logw -= logw.max(axis=-1, keepdims=True)
-        np.exp(logw, out=logw)
-        logw /= logw.sum(axis=-1, keepdims=True)
-        lo, hi = _ratio_extremes(logw, self._epoch.s_cur)
-        self._ratio_min, self._ratio_max = min(self._ratio_min, lo), max(self._ratio_max, hi)
-        self._filled = 0
-
-    def end_epoch(self) -> None:
-        er = self._epoch
-        if er is None:
-            return
-        self._flush()
-        p = self.params
-        tilde_max = float(self._tilde.max())
-        bounded_ok = bool(tilde_max <= p.epoch_len + p.iota / p.gamma)
-        self._all_ok = self._all_ok and self._importance_ok and bounded_ok
-        lhs, rhs = graph_inverse_bound(self.nu @ er.s_next, self.graph,
-                                       eps=float((self._w_exact + p.gamma).min()))
-        end_t = min(er.start_t + p.epoch_len, len(self._p_branch))
-        attach_epoch_diagnostics(er, EpochDiag(
-            epoch=er.epoch, w_exact=self._w_exact,
-            importance_ok=self._importance_ok, bounded_ok=bounded_ok,
-            all_ok_so_far=self._all_ok,
-            beta_min=float(self._beta.min()), beta_max=float(self._beta.max()),
-            tilde_max=tilde_max,
-            ptilde_ratio_min=self._ratio_min, ptilde_ratio_max=self._ratio_max,
-            snapshot_rounds=int((~self._p_branch[er.start_t:end_t]).sum()),
-            graph_inv_lhs=lhs, graph_inv_rhs=rhs,
-        ))
-        self._epoch = None
-
-
-# Module level because the benchmark's span tracer wraps this name to time each report.
-def attach_epoch_diagnostics(er: EpochRecord, report: EpochDiag) -> None:
-    """Put an epoch's report on its record."""
-    er.diag = report
+    tilde_max = float(tilde.max())
+    bounded_ok = bool(tilde_max <= L + iota / gamma)
+    lhs, rhs = graph_inverse_bound(nu @ er.s_next, plan.graph,
+                                   eps=float((w_exact + gamma).min()))
+    er.diag = EpochDiag(
+        epoch=er.epoch, w_exact=w_exact,
+        importance_ok=importance_ok, bounded_ok=bounded_ok,
+        all_ok_so_far=(prev is None or prev.all_ok_so_far) and importance_ok and bounded_ok,
+        beta_min=float(beta.min()), beta_max=float(beta.max()),
+        tilde_max=tilde_max, ptilde_ratio_min=ratio_min, ptilde_ratio_max=ratio_max,
+        snapshot_rounds=snapshot_rounds, graph_inv_lhs=lhs, graph_inv_rhs=rhs,
+    )

@@ -68,6 +68,10 @@ class FeedbackGraph:
         self.in_mask = out_mask.T.copy()
         self.out_mask.flags.writeable = False
         self.in_mask.flags.writeable = False
+        # Spares in_mass and in_mass_rows a cast per call. Other products keep
+        # the bool mask: a float mask sends known.py's stacked matmul down
+        # another path, with other bits.
+        self._in_mask_f = self.in_mask.astype(np.float64)
 
         self.in_neighbors = tuple(
             tuple(int(b) for b in np.flatnonzero(self.in_mask[a])) for a in range(num_arms)
@@ -92,11 +96,11 @@ class FeedbackGraph:
 
     def in_mass(self, p: np.ndarray) -> np.ndarray:
         """In-neighborhood mass of every arm under weight vector ``p`` (K,)."""
-        return self.in_mask @ np.asarray(p, dtype=np.float64)
+        return self._in_mask_f @ np.asarray(p, dtype=np.float64)
 
     def in_mass_rows(self, P: np.ndarray) -> np.ndarray:
         """Row-wise in-neighborhood masses for a stack of weight vectors (M, K)."""
-        return np.asarray(P, dtype=np.float64) @ self.in_mask.T
+        return np.asarray(P, dtype=np.float64) @ self._in_mask_f.T
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

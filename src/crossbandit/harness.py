@@ -53,8 +53,8 @@ from .unknown import (
 ALGOS = ("known", "unknown", "per_context_exp3g", "pooled_exp3g", "uniform")
 ORACLE_KINDS = ("stochastic_gap", "adversarial_shift", "auction", "table")
 
-# Rounds formatted per NDJSON write: large enough to amortise the write,
-# small enough that a full trace's text never sits in memory at once.
+# Rounds formatted per NDJSON or curves-CSV write: large enough to amortise
+# the write, small enough that a file's text never sits in memory at once.
 _NDJSON_BLOCK = 1024
 # Rounds whose expected losses a lockstep batch computes in one product.
 _Q_BLOCK = 256
@@ -466,9 +466,9 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
     learner is read only through what ``act`` and ``update`` return
     (``environment.Play``), its public state at each epoch start and, for full
     traces, ``distributions()``, hashed once per pair. With diagnostics on,
-    the epoch starts and finished pairs also feed a
-    ``diagnostics.EpochObserver``, which sets each epoch's report on its
-    ``EpochRecord``.
+    each epoch's finished ``PairRecord``s are kept until the epoch ends, and
+    an estimating epoch then gets its report from one
+    ``diagnostics.attach_epoch_diagnostics`` call.
     """
     config, graph, nu = plan.config, plan.graph, plan.nu
     if config.algo != "unknown":
@@ -484,8 +484,6 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
     oracle = plan.oracle(oracle_seed)
     learner = make_learner(plan)
     L = plan.schedule.epoch_len
-    observer = (diagnostics.EpochObserver(graph, nu, plan.schedule, trace.p_branch)
-                if diag else None)
     rows = np.empty((T, K))
 
     for start in range(0, T, L):
@@ -497,10 +495,9 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
             s_next_digest=_digest(learner.s_next),
         )
         trace.epochs.append(er)
-        if observer is not None:
-            observer.start_epoch(er, learner.s_cur_in)
+        s_cur_in = learner.s_cur_in
         contexts, arm_u, closing_u = pair_tape(rng, nu, L // 2, learner.closing_draws)
-        plays = []
+        plays, pairs = [], []
         for i, (c0, c1) in enumerate(contexts.tolist()):
             t = start + 2 * i
             if full:
@@ -515,9 +512,9 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
             rows[t + 1] = oracle.loss_slice(t + 1)[c1]
             rev1 = reveal(oracle, graph, t + 1, a1)
             pr = learner.update((rev0, rev1), closing_u[i])
-            if observer is not None and pr is not None:
+            if diag and pr is not None:
                 trace.used_mask[pr.t_first + pr.loss_offset] = pr.used
-                observer.add_pair(pr)
+                pairs.append(pr)
         epoch = slice(start, start + L)
         arms, q, ftrl = (np.concatenate(col) for col in zip(*plays))
         trace.contexts[epoch] = contexts.ravel()
@@ -527,8 +524,9 @@ def run_replicate(plan: RunPlan, replicate: int) -> Trace:
             trace.q_rows[epoch] = q
         # each (1, K) @ (K, 1) slice is the dot q @ row of one round
         trace.expected_inst[epoch] = np.matmul(q[:, None, :], rows[epoch, :, None])[..., 0, 0]
-    if observer is not None:
-        observer.end_epoch()
+        if diag and er.epoch >= 2:
+            diagnostics.attach_epoch_diagnostics(er, s_cur_in, pairs, int((~ftrl).sum()),
+                                                 trace.epochs[-2].diag, plan)
     _settle(trace, rows)
     return trace
 
@@ -755,14 +753,15 @@ def write_report_json(result: RunResult, path: str | Path) -> None:
 
 def write_curves_csv(result: RunResult, path: str | Path) -> None:
     """Long format: algo, replicate, t, cum_regret_expected, cum_regret_realized."""
-    parts = ["algo,replicate,t,cum_regret_expected,cum_regret_realized\n"]
-    for trace in result.traces:
-        exp_curve, real_curve = regret_curves(trace)
-        prefix = f"{result.config.algo},{trace.replicate},"
-        parts += [f"{prefix}{t},{e!r},{r!r}\n" for t, (e, r)
-                  in enumerate(zip(exp_curve.tolist(), real_curve.tolist()))]
     with open(path, "w") as fh:
-        fh.write("".join(parts))
+        fh.write("algo,replicate,t,cum_regret_expected,cum_regret_realized\n")
+        for trace in result.traces:
+            exp_curve, real_curve = regret_curves(trace)
+            prefix = f"{result.config.algo},{trace.replicate},"
+            for lo in range(0, trace.horizon, _NDJSON_BLOCK):
+                hi = lo + _NDJSON_BLOCK
+                fh.write("".join([f"{prefix}{t},{e!r},{r!r}\n" for t, e, r in zip(
+                    range(lo, hi), exp_curve[lo:hi].tolist(), real_curve[lo:hi].tolist())]))
 
 
 def write_sweep_csv(sweep: SweepResult, path: str | Path) -> None:

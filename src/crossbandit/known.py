@@ -54,8 +54,6 @@ class KnownDistLearner:
                  replicates: int = 1):
         if not graph.has_all_self_loops():
             raise ValueError("learner requires a self-loop at every arm")
-        if not graph.strongly_observable:
-            raise ValueError("learner requires a strongly observable graph")
         if not eta > 0:
             raise ValueError(f"eta must be positive, got {eta}")
         self.graph = graph

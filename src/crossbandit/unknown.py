@@ -188,8 +188,6 @@ class EpochLearner(Replayable):
     def __init__(self, graph: FeedbackGraph, num_contexts: int, params: ParamSchedule):
         if not graph.has_all_self_loops():
             raise ValueError("learner requires a self-loop at every arm")
-        if not graph.strongly_observable:
-            raise ValueError("learner requires a strongly observable graph")
         if num_contexts < 1:
             raise ValueError("need at least one context")
         self.graph = graph

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from crossbandit import harness
+from crossbandit import diagnostics, harness
 from crossbandit.diagnostics import (
     EpochDiag,
     _ratio_extremes,
@@ -207,19 +207,23 @@ def replay_diagnostics(trace, config, graph):
     return reports
 
 
+def assert_same_reports(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for f in fields(EpochDiag):
+            a, b = getattr(g, f.name), getattr(w, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+            else:
+                assert type(a) is type(b) and repr(a) == repr(b), (f.name, a, b)
+
+
 def assert_reports_match_replay(res):
     assert res.traces
     for trace in res.traces:
         got = epoch_reports(trace)
-        want = replay_diagnostics(trace, res.config, res.graph)
-        assert len(got) == len(want) == sum(er.epoch >= 2 for er in trace.epochs) > 0
-        for g, w in zip(got, want):
-            for f in fields(EpochDiag):
-                a, b = getattr(g, f.name), getattr(w, f.name)
-                if isinstance(b, np.ndarray):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
-                else:
-                    assert type(a) is type(b) and repr(a) == repr(b), (f.name, a, b)
+        assert len(got) == sum(er.epoch >= 2 for er in trace.epochs) > 0
+        assert_same_reports(got, replay_diagnostics(trace, res.config, res.graph))
 
 
 def _er48_adjacency(path):
@@ -265,6 +269,19 @@ class TestRunReportsMatchReplay:
         res = run(diag_config(replicates=2))
         assert [tr.replicate for tr in res.traces] == [0, 1]
         assert_reports_match_replay(res)
+
+
+@pytest.mark.parametrize("states", [1, 3, 33])
+def test_reports_do_not_depend_on_the_tilt_block(monkeypatch, states):
+    """A block of 1, 3 or L / 2 + 1 states of the pseudo-estimate sums gives
+    bit-equal reports; 3 splits every epoch's states mid-epoch."""
+    cfg = diag_config(graph=GraphSpec(kind="erdos_renyi", num_arms=8, edge_prob=0.25))
+    want = epoch_reports(run(cfg).traces[0])
+    assert len(want) == 7  # M = 4, K = 8, L = 64, 8 epochs
+    monkeypatch.setattr(diagnostics, "_BLOCK_BUDGET", states * 4 * 8)
+    res = run(cfg)
+    assert_same_reports(epoch_reports(res.traces[0]), want)
+    assert_reports_match_replay(res)
 
 
 class TestRunFeedsDiagnostics:

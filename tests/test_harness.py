@@ -520,6 +520,20 @@ class TestOutputs:
         assert lines[0] == "algo,replicate,t,cum_regret_expected,cum_regret_realized"
         assert len(lines) == 1 + 2 * 64
 
+    def test_curves_csv_written_in_blocks_keeps_its_bytes(self, tmp_path, monkeypatch):
+        res = run(small_config(replicates=2, horizon=64))
+        write_curves_csv(res, tmp_path / "whole.csv")
+        monkeypatch.setattr(harness, "_NDJSON_BLOCK", 5)  # 13 blocks per replicate
+        write_curves_csv(res, tmp_path / "blocks.csv")
+        whole = (tmp_path / "whole.csv").read_bytes()
+        assert (tmp_path / "blocks.csv").read_bytes() == whole
+        want = ["algo,replicate,t,cum_regret_expected,cum_regret_realized\n"]
+        for trace in res.traces:
+            exp_curve, real_curve = regret_curves(trace)
+            want += [f"{res.config.algo},{trace.replicate},{t},{e!r},{r!r}\n"
+                     for t, (e, r) in enumerate(zip(exp_curve.tolist(), real_curve.tolist()))]
+        assert whole == "".join(want).encode()
+
     @pytest.mark.parametrize("trace_level", ["light", "full"])
     def test_ndjson_rounds_match_json_dumps(self, tmp_path, trace_level):
         cfg = small_config(algo="unknown", trace_level=trace_level, horizon=128,
