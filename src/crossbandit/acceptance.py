@@ -10,6 +10,7 @@ at three standard errors.
 
 from __future__ import annotations
 
+import copy
 import filecmp
 import functools
 import math
@@ -224,13 +225,11 @@ def check_used_feedback_marginal(n_pairs: int = 100_000, seed: int = 12) -> tupl
     dense = TableOracle(0.05 + 0.9 * np.random.default_rng(seed).random((2, M, K)))
 
     w_exact = (nu @ graph.in_mass_rows(learner.s_cur)) / 2.0
-    s0 = learner.state()
     used_counts = np.zeros(K)
     # Row i of the tape holds the uniforms of replay i, as drawn one replay at a time.
     contexts, arm_u, closing_u = pair_tape(rng, nu, n_pairs, learner.closing_draws)
     for i in range(n_pairs):
-        learner.restore(s0)
-        pair = _play_pairs(learner, graph, dense,
+        pair = _play_pairs(copy.copy(learner), graph, dense,
                            contexts[i:i + 1], arm_u[i:i + 1], closing_u[i:i + 1])
         used_counts += pair.used
 
@@ -253,18 +252,17 @@ def check_importance_estimate_unbiased(n_epochs: int = 10_000, seed: int = 13) -
     graph, nu, oracle, learner, rng = _warm_epoch_learner(seed, epoch_len=32,
                                                           stop_epoch=3, stop_pos=0)
     L = learner.epoch_len
-    s0 = learner.state()
 
     w_next_exact = (nu @ graph.in_mass_rows(learner.s_next)) / 2.0
     total = np.zeros(learner.num_arms)
     total_sq = np.zeros(learner.num_arms)
     for _ in range(n_epochs):
-        learner.restore(s0)
-        _play_pairs(learner, graph, oracle,
+        replay = copy.copy(learner)
+        _play_pairs(replay, graph, oracle,
                     *pair_tape(rng, nu, L // 2, learner.closing_draws))
         # end_epoch fired: the fresh estimate is now the applied one
-        total += learner.w_hat
-        total_sq += learner.w_hat ** 2
+        total += replay.w_hat
+        total_sq += replay.w_hat ** 2
 
     mean = total / n_epochs
     var = np.maximum(total_sq / n_epochs - mean ** 2, 0.0)

@@ -47,8 +47,8 @@ class GraphExp3Baseline:
                  gamma_ix: float, per_context: bool, replicates: int = 1):
         if not graph.has_all_self_loops():
             raise ValueError("baseline requires a self-loop at every arm")
-        if not eta > 0 or not gamma_ix >= 0:
-            raise ValueError(f"need eta > 0 and gamma_ix >= 0, got {eta} and {gamma_ix}")
+        if not (math.isfinite(eta) and eta > 0) or not gamma_ix >= 0:
+            raise ValueError(f"need finite eta > 0 and gamma_ix >= 0, got {eta} and {gamma_ix}")
         self.graph = graph
         self.num_contexts = int(num_contexts)
         self.num_arms = graph.num_arms

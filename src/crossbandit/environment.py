@@ -76,9 +76,7 @@ class Play(NamedTuple):
       pair's ``closing_draws`` closing uniforms ``u``. It returns the
       ``PairRecord`` of the pair, with the arms whose losses fed its
       estimates, or None in epoch 1.
-    * ``state()`` and ``restore(state)`` (the epoch learner) save the whole
-      learner and put it back, so a Monte-Carlo replay can run one frozen
-      pair or epoch many times. A state can be restored any number of times.
+    * ``copy.copy(learner)`` (epoch learner) plays on from its state and leaves it unchanged.
 
     A returned ``q``, a table returned by ``distributions()``, and the epoch
     learner's snapshot and in-mass tables are never written afterwards:
@@ -89,25 +87,6 @@ class Play(NamedTuple):
     arm: np.ndarray
     q: np.ndarray
     ftrl: np.ndarray | bool
-
-
-class Replayable:
-    """``state()``/``restore()`` for a learner. A state shares every field
-    except those named in ``_COPIED``, which the learner mutates in place;
-    every other field is only ever rebound, so sharing it is safe."""
-
-    _COPIED: tuple[str, ...] = ()
-
-    def state(self) -> dict:
-        st = dict(vars(self))
-        for name in self._COPIED:
-            st[name] = st[name].copy()
-        return st
-
-    def restore(self, state: dict) -> None:
-        vars(self).update(state)
-        for name in self._COPIED:
-            setattr(self, name, state[name].copy())
 
 
 class LossOracle:

@@ -193,8 +193,9 @@ def validate_config(config: RunConfig) -> RunPlan:
         raise ConfigError("need at least one replicate")
     if config.num_contexts < 1:
         raise ConfigError("need at least one context")
-    if config.param_mode == "manual" and config.eta is not None and not config.eta > 0:
-        raise ConfigError(f"manual eta must be positive, got {config.eta!r}")
+    if config.param_mode == "manual" and config.eta is not None and not (
+            math.isfinite(config.eta) and config.eta > 0):
+        raise ConfigError(f"manual eta must be finite and positive, got {config.eta!r}")
     T, M = config.horizon, config.num_contexts
     try:
         graph = build_graph(config.graph, rng_seed=config.seed)
@@ -227,7 +228,7 @@ def make_learner(plan: RunPlan, replicates: int = 1):
         return EpochLearner(graph, M, plan.schedule)
     if config.algo == "uniform":
         return UniformBaseline(graph, M, replicates)
-    eta = config.eta if config.param_mode == "manual" else None  # validated > 0 if set
+    eta = config.eta if config.param_mode == "manual" else None  # finite, > 0 if set
     if config.algo == "known":
         return KnownDistLearner(graph, plan.nu, eta or default_learning_rate(K, T, graph.alpha),
                                 replicates=replicates)
@@ -349,15 +350,11 @@ class RegretSummary:
     snapshot_branch_fraction: float
 
 
-def best_policy_from_sums(loss_sums: np.ndarray) -> np.ndarray:
-    """Per-context argmin of summed losses; ties to the lowest arm index;
-    contexts never drawn (all-zero rows) get arm 0."""
-    return np.argmin(loss_sums, axis=1)
-
-
 def summarize_regret(trace: Trace) -> RegretSummary:
     M = trace.num_contexts
-    pi_star = best_policy_from_sums(trace.loss_sums)
+    # The per-context argmin: ties go to the lowest arm index, and a context
+    # never drawn (an all-zero row) gets arm 0.
+    pi_star = np.argmin(trace.loss_sums, axis=1)
     best_per_context = trace.loss_sums[np.arange(M), pi_star]
     realized_pc = np.bincount(trace.contexts, weights=trace.realized_inst, minlength=M)
     expected_pc = np.bincount(trace.contexts, weights=trace.expected_inst, minlength=M)
@@ -436,7 +433,7 @@ def _settle(trace: Trace, rows: np.ndarray) -> None:
     rounds = np.arange(trace.horizon)
     trace.realized_inst = rows[rounds, trace.arms]
     np.add.at(trace.loss_sums, trace.contexts, rows)  # in round order, like += per round
-    pi_star = best_policy_from_sums(trace.loss_sums)
+    pi_star = np.argmin(trace.loss_sums, axis=1)  # as in summarize_regret
     trace.best_inst = rows[rounds, pi_star[trace.contexts]]
 
 

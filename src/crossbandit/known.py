@@ -54,8 +54,8 @@ class KnownDistLearner:
                  replicates: int = 1):
         if not graph.has_all_self_loops():
             raise ValueError("learner requires a self-loop at every arm")
-        if not eta > 0:
-            raise ValueError(f"eta must be positive, got {eta}")
+        if not (math.isfinite(eta) and eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {eta}")
         self.graph = graph
         self.nu = check_simplex(nu)
         self.eta = float(eta)

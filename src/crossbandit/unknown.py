@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Play, Replayable, Reveal
+from .environment import Play, Reveal
 from .graph import FeedbackGraph
 from .simplex import exp_weights, sample_arm
 
@@ -52,8 +52,8 @@ class ParamSchedule:
     def __post_init__(self):
         if self.epoch_len < 2 or self.epoch_len % 2 != 0:
             raise ValueError(f"epoch_len must be an even integer >= 2, got {self.epoch_len}")
-        if not (self.gamma > 0 and self.eta > 0 and self.iota > 0):  # NaN fails too
-            raise ValueError("iota, gamma and eta must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.iota, self.gamma, self.eta)):
+            raise ValueError("iota, gamma and eta must be finite and positive")
 
 
 def even_divisors(n: int) -> list[int]:
@@ -158,7 +158,7 @@ class PairRecord:
     losses: np.ndarray    # (M, n_used) loss block of the used arms
 
 
-class EpochLearner(Replayable):
+class EpochLearner:
     """Algorithm state for the unknown-distribution setting, played one round
     pair at a time.
 
@@ -180,10 +180,6 @@ class EpochLearner(Replayable):
     running snapshot's in-neighborhood masses, also read-only. Single-threaded
     per instance.
     """
-
-    # Mutated in place; every other field is rebound (``end_epoch`` makes
-    # ``w_hat`` the old ``w_hat_acc`` object and starts a fresh accumulator).
-    _COPIED = ("cum", "w_hat_acc")
 
     def __init__(self, graph: FeedbackGraph, num_contexts: int, params: ParamSchedule):
         if not graph.has_all_self_loops():
@@ -212,6 +208,15 @@ class EpochLearner(Replayable):
         self._dists: np.ndarray | None = None  # exp_weights(cum), built on demand
         # (contexts, arms, play) of the pair played and not yet updated
         self._played: tuple[list[int], list[int], Play] | None = None
+
+    def __copy__(self) -> EpochLearner:
+        """A learner of the same class that plays on from this one's state.
+        It owns ``cum`` and ``w_hat_acc``, which ``update`` writes in place;
+        every other field is only rebound (``end_epoch`` makes ``w_hat`` the
+        old ``w_hat_acc`` object), so the two share it."""
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self), cum=self.cum.copy(), w_hat_acc=self.w_hat_acc.copy())
+        return twin
 
     @property
     def epoch_len(self) -> int:

@@ -5,6 +5,7 @@ pass/fail lines as they complete (several minutes total; the horizon-scaling
 sweep dominates). The same checks back `crossbandit verify --level full`.
 """
 
+import copy
 import inspect
 import tempfile
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from crossbandit import acceptance
+from crossbandit.unknown import EpochLearner
 
 
 def _report(result):
@@ -72,6 +74,41 @@ def test_determinism_check_leaves_no_files_behind(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+class EveryRevealedArmUsed(EpochLearner):
+    """Ablation: no Bernoulli thinning. Zero thinning uniforms accept every
+    revealed arm, since each acceptance probability is positive."""
+
+    def update(self, revs, u):
+        u = u.copy()
+        u[1:] = 0.0
+        return super().update(revs, u)
+
+
+class ImportanceFromRunningSnapshot(EpochLearner):
+    """Ablation: the importance estimate for the next epoch accumulates the
+    running snapshot's in-neighborhood masses instead of the next one's."""
+
+    def end_epoch(self):
+        self._s_next_in = self._in_mass(self.s_next)  # the masses the roll moves on
+        super().end_epoch()
+        self._s_next_in = self.s_cur_in
+
+
+@pytest.mark.parametrize("ablation,name", [
+    (EveryRevealedArmUsed, "used-feedback-marginal"),
+    (ImportanceFromRunningSnapshot, "importance-estimate-unbiased"),
+])
+def test_the_check_fails_on_a_learner_with_one_part_removed(monkeypatch, ablation, name):
+    """Negative control at the check's seed and quick scale. The check's
+    replays run on copies of the ablated learner, so this also pins that a
+    copy keeps its class: a plain ``EpochLearner`` would replay unablated."""
+    monkeypatch.setattr(acceptance, "EpochLearner", ablation)
+    entry = next(e for e in acceptance.CHECKS if e.name == name)
+    result = entry.fn(**entry.quick)
+    print(result.line())
+    assert not result.passed
+
+
 class TestCheckSensitivity:
     """The Monte-Carlo checkers flag wrong targets: a corrupted estimator
     denominator must trip the unbiasedness tests rather than pass silently."""
@@ -90,13 +127,11 @@ class TestCheckSensitivity:
         wrong = 1.5 * w_exact
         M, K = learner.num_contexts, learner.num_arms
         dense = TableOracle(0.5 * np.ones((2, M, K)))
-        s0 = learner.state()
         n = 4_000
         used = np.zeros(K)
         for _ in range(n):
-            learner.restore(s0)
             tape = pair_tape(rng, nu, 1, learner.closing_draws)
-            pair = _play_pairs(learner, graph, dense, *tape)
+            pair = _play_pairs(copy.copy(learner), graph, dense, *tape)
             used += pair.used
         rate = used / n
         se = np.sqrt(rate * (1 - rate) / n)

@@ -122,7 +122,8 @@ class TestGraphExp3:
         assert np.all(np.abs(mean - target) <= 3 * se)
 
     @pytest.mark.parametrize("eta,gamma_ix", [(float("nan"), 0.01), (0.1, float("nan")),
-                                              (0.0, 0.01), (0.1, -0.01)])
+                                              (0.0, 0.01), (0.1, -0.01),
+                                              (float("inf"), 0.01)])
     def test_rejects_bad_rates(self, eta, gamma_ix):
         graph = build_graph(GraphSpec(kind="self_loops_only", num_arms=4))
         with pytest.raises(ValueError, match="eta > 0 and gamma_ix >= 0"):

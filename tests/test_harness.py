@@ -13,7 +13,6 @@ from crossbandit.harness import (
     OracleSpec,
     RunConfig,
     _replicate_seeds,
-    best_policy_from_sums,
     config_for_axis,
     fit_scaling,
     make_learner,
@@ -44,18 +43,26 @@ def small_config(**kw):
     return RunConfig(**base)
 
 
+def hindsight_policy(loss_sums):
+    """The hindsight policy ``summarize_regret`` reports for these loss sums."""
+    M, K = loss_sums.shape
+    trace = harness._empty_trace(small_config(horizon=0, num_contexts=M), 0, K)
+    trace.loss_sums = loss_sums
+    return summarize_regret(trace).best_policy
+
+
 class TestBestPolicy:
     def test_single_context_argmin(self):
         sums = np.array([[3.0, 1.0, 2.0]])
-        assert best_policy_from_sums(sums).tolist() == [1]
+        assert hindsight_policy(sums).tolist() == [1]
 
     def test_ties_break_low(self):
         sums = np.full((3, 4), 2.0)
-        assert best_policy_from_sums(sums).tolist() == [0, 0, 0]
+        assert hindsight_policy(sums).tolist() == [0, 0, 0]
 
     def test_never_drawn_context_gets_arm_zero(self):
         sums = np.array([[0.0, 0.0], [0.3, 0.1]])
-        assert best_policy_from_sums(sums).tolist() == [0, 1]
+        assert hindsight_policy(sums).tolist() == [0, 1]
 
     def test_matches_exhaustive_argmin_on_table(self):
         rng = np.random.default_rng(0)
@@ -64,7 +71,7 @@ class TestBestPolicy:
         sums = np.zeros((3, 4))
         for t, c in enumerate(contexts):
             sums[c] += tensor[t, c]
-        pi = best_policy_from_sums(sums)
+        pi = hindsight_policy(sums)
         for c in range(3):
             best = min(range(4), key=lambda a: (sums[c, a], a))
             assert pi[c] == best
@@ -223,6 +230,8 @@ class TestValidation:
         dict(algo="unknown", horizon=1024, tuned_scale=math.nan),
         dict(algo="unknown", horizon=1024, tuned_scale=math.inf),
         dict(algo="unknown", param_mode="manual", epoch_len=32, eta=0.01, gamma=math.nan),
+        *[dict(algo=algo, param_mode="manual", epoch_len=32, eta=math.inf, gamma=0.1)
+          for algo in ("known", "pooled_exp3g", "unknown")],
         lambda tmp: dict(oracle=OracleSpec(kind="table", table_path=str(tmp / "none.npy"))),
         lambda tmp: dict(oracle=_table_spec(tmp, rounds=255)),
         lambda tmp: dict(oracle=_bids_spec(tmp, rounds=255)),
@@ -230,13 +239,16 @@ class TestValidation:
     ], ids=["negative_seed", "gap_means", "shift_bounds", "value_grid", "bid_grid",
             "value_grid_unsorted", "value_grid_above_1", "bid_grid_descending",
             "bid_grid_negative", "auto_T1", "auto_T2", "auto_T3", "tuned_scale",
-            "tuned_scale_nan", "tuned_scale_inf", "manual_gamma_nan", "table_missing",
+            "tuned_scale_nan", "tuned_scale_inf", "manual_gamma_nan", "manual_eta_inf_known",
+            "manual_eta_inf_pooled_exp3g", "manual_eta_inf_unknown", "table_missing",
             "table_short", "bids_short", "bids_missing"])
     def test_rejects_what_would_fail_mid_run(self, kw, tmp_path):
         if callable(kw):
             kw = kw(tmp_path)
-        # A bad tuned_scale is named in the message.
-        with pytest.raises(ConfigError, match="tuned_scale" if "tuned_scale" in kw else None):
+        # A bad tuned_scale or eta is named in the message.
+        named = ("tuned_scale" if "tuned_scale" in kw
+                 else "eta" if kw.get("eta") == math.inf else None)
+        with pytest.raises(ConfigError, match=named):
             validate_config(small_config(**kw))
 
     @pytest.mark.parametrize("text", ["bid\n0.1\n0.2x\n", "0.1\nnan\n"])
@@ -407,7 +419,7 @@ def replay(trace, config):
         row = oracle.loss_slice(t)[trace.contexts[t]]
         loss_sums[trace.contexts[t]] += row
         realized[t] = row[trace.arms[t]]
-    pi_star = best_policy_from_sums(loss_sums)
+    pi_star = np.argmin(loss_sums, axis=1)
     best_inst = np.zeros(trace.horizon)
     for t in range(trace.horizon):
         c = int(trace.contexts[t])

@@ -205,6 +205,11 @@ class TestGuards:
         with pytest.raises(ValueError, match="eta"):
             KnownDistLearner(graph, NU, eta=float("nan"))
 
+    def test_rejects_infinite_eta(self):
+        graph = build_graph(GraphSpec(kind="self_loops_only", num_arms=4))
+        with pytest.raises(ValueError, match="finite"):
+            KnownDistLearner(graph, NU, eta=float("inf"))
+
     def test_default_learning_rate_formula(self):
         assert default_learning_rate(16, 4096, 4) == pytest.approx(
             np.sqrt(np.log(16) / (4 * 4096)))

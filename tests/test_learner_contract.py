@@ -1,6 +1,7 @@
 """Property tests of the learner contract (``environment.Play``) on random
 small self-looped graphs, for every algorithm the harness can run."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -162,21 +163,25 @@ def test_a_state_replays_identically_across_epoch_ends(algo):
     oracle = TableOracle(np.random.default_rng(1).random((plan.config.horizon, 2, 3)))
     learner = make_learner(plan)
 
-    def drive(rounds, rng):
+    def drive(learner, rounds, rng):
         arms = []
         for _ in range(rounds // 2):
             arms += [a for _, a, _, _ in play_pair(learner, plan, oracle, learner.t, rng)[0]]
-        return arms, learner.cum.copy(), learner.distributions().copy()
+        return arms, learner.cum.copy(), learner.distributions().copy(), learner.w_hat.copy()
 
-    drive(L + 2, np.random.default_rng(2))  # mid-epoch, pair boundary
-    s0 = learner.state()
+    drive(learner, L + 2, np.random.default_rng(2))  # mid-epoch, pair boundary
+    frozen = [learner.cum.copy(), learner.w_hat_acc.copy(), learner.w_hat.copy()]
     # each replay crosses two epoch ends, which rebind the estimates
-    first = drive(2 * L, np.random.default_rng(3))
-    for _ in range(2):  # a state can be restored any number of times
-        learner.restore(s0)
-        again = drive(2 * L, np.random.default_rng(3))
-        assert first[0] == again[0]
-        assert np.array_equal(first[1], again[1]) and np.array_equal(first[2], again[2])
+    first, *again = [drive(copy.copy(learner), 2 * L, np.random.default_rng(3))
+                     for _ in range(3)]  # a learner can be copied any number of times
+
+    def same(x, y):
+        return x[0] == y[0] and all(np.array_equal(a, b) for a, b in zip(x[1:], y[1:]))
+
+    assert all(same(first, replay) for replay in again)
+    for kept, now in zip(frozen, [learner.cum, learner.w_hat_acc, learner.w_hat]):
+        assert np.array_equal(kept, now)  # the copies left the original unchanged
+    assert same(first, drive(learner, 2 * L, np.random.default_rng(3)))
 
 
 @pytest.mark.parametrize("trace_level", ["light", "full"])

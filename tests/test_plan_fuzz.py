@@ -11,6 +11,7 @@ schedule needs T >= 4, a manual epoch length must divide T).
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -34,7 +35,8 @@ from crossbandit.harness import (
 HORIZONS = (0, 1, 2, 3, 4, 8, 16)
 FAULTS = ("one_arm", "graph_file_missing", "graph_loopless", "nu_length", "oracle_params",
           "auction_grid", "file_short", "file_missing", "file_malformed", "table_shape",
-          "tuned_scale", "manual_eta", "manual_unset", "manual_odd_epoch", "negative_seed")
+          "tuned_scale", "manual_eta", "manual_eta_inf", "manual_unset", "manual_odd_epoch",
+          "negative_seed")
 
 
 @st.composite
@@ -127,7 +129,8 @@ def _config(case, tmp: Path) -> RunConfig:
                   tuned_scale=-1.0 if fault == "tuned_scale" else case["tuned_scale"])
     if case["manual"]:
         params.update(epoch_len=3 if fault == "manual_odd_epoch" else case["epoch_len"],
-                      eta=-1.0 if fault == "manual_eta" else case["manual_eta"],
+                      eta={"manual_eta": -1.0, "manual_eta_inf": math.inf}.get(
+                          fault, case["manual_eta"]),
                       gamma=None if fault == "manual_unset" else 0.1, iota=case["iota"])
     return RunConfig(graph=_graph_spec(case, tmp), oracle=_oracle_spec(case, tmp),
                      num_contexts=M, horizon=case["T"], algo=case["algo"],

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -79,6 +80,9 @@ class TestSchedule:
             ParamSchedule(iota=6.0, epoch_len=33, gamma=0.1, eta=0.01)
         with pytest.raises(ValueError):
             ParamSchedule(iota=6.0, epoch_len=32, gamma=0.0, eta=0.01)
+        for gamma, iota in [(math.inf, 6.0), (0.1, math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                ParamSchedule(iota=iota, epoch_len=32, gamma=gamma, eta=0.01)
         with pytest.raises(ValueError):
             schedule_params(1, 4096, 4)
         with pytest.raises(ValueError):
@@ -304,13 +308,12 @@ class TestEstimatorMoments:
         target = 2.0 * losses * w_exact / (lrn.w_hat + 1.5 * lrn.params.gamma)
 
         n = 20_000
-        s0, cum0 = lrn.state(), lrn.cum.copy()
         total = np.zeros((M, K))
         used_counts = np.zeros(K)
         for _ in range(n):
-            lrn.restore(s0)
-            pair = _play_pairs(lrn, graph, dense, *pair_tape(rng, NU, 1, lrn.closing_draws))
-            total += lrn.cum - cum0
+            replay = copy.copy(lrn)
+            pair = _play_pairs(replay, graph, dense, *pair_tape(rng, NU, 1, lrn.closing_draws))
+            total += replay.cum - lrn.cum
             used_counts += pair.used
         mean_inc = total / n
         p_hat = used_counts / n
@@ -324,11 +327,10 @@ class TestEstimatorMoments:
         dense = TableOracle(0.5 * np.ones((2, M, K)))
         w_exact = (NU @ graph.in_mass_rows(lrn.s_cur)) / 2.0
         n = 20_000
-        s0 = lrn.state()
         used_counts = np.zeros(K)
         for _ in range(n):
-            lrn.restore(s0)
-            pair = _play_pairs(lrn, graph, dense, *pair_tape(rng, NU, 1, lrn.closing_draws))
+            pair = _play_pairs(copy.copy(lrn), graph, dense,
+                               *pair_tape(rng, NU, 1, lrn.closing_draws))
             used_counts += pair.used
         rate = used_counts / n
         se = np.sqrt(rate * (1 - rate) / n)
@@ -342,15 +344,14 @@ class TestEstimatorMoments:
         L = lrn.epoch_len
         drive(lrn, graph, oracle, NU, rng, 2 * L)  # epoch 3, round 0
         w_next = (NU @ graph.in_mass_rows(lrn.s_next)) / 2.0
-        s0 = lrn.state()
         n = 2_000
         total = np.zeros(8)
         total_sq = np.zeros(8)
         for _ in range(n):
-            lrn.restore(s0)
-            _play_pairs(lrn, graph, oracle, *pair_tape(rng, NU, L // 2, lrn.closing_draws))
-            total += lrn.w_hat
-            total_sq += lrn.w_hat ** 2
+            replay = copy.copy(lrn)
+            _play_pairs(replay, graph, oracle, *pair_tape(rng, NU, L // 2, lrn.closing_draws))
+            total += replay.w_hat
+            total_sq += replay.w_hat ** 2
         mean = total / n
         se = np.sqrt(np.maximum(total_sq / n - mean ** 2, 0) / n)
         assert np.all(np.abs(mean - w_next) <= 3 * se + 1e-12)
